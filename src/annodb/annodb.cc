@@ -482,6 +482,10 @@ void AnnoDb::AddSummary(FuncSummary row) {
   summaries_.insert_or_assign(std::move(key), std::move(row));
 }
 
+bool AnnoDb::RemoveSummary(const std::string& module, const std::string& function) {
+  return summaries_.erase({module, function}) != 0;
+}
+
 FuncSummary* AnnoDb::FindSummary(const std::string& module, const std::string& function) {
   auto it = summaries_.find({module, function});
   return it == summaries_.end() ? nullptr : &it->second;
@@ -501,17 +505,6 @@ void AnnoDb::StampModule(const std::string& module) {
 }
 
 int AnnoDb::ApplyAttributes(Program* prog, const ImportOptions& opts) const {
-  // The canonical signature records every row this import *read*, so a
-  // session comparing signatures across rounds sees exactly the changes
-  // that could alter this module's analysis.
-  std::string sig;
-  auto note = [&opts, &sig](const FuncSummary& row) {
-    if (opts.out_signature != nullptr) {
-      sig += row.Canonical();
-      sig += '\n';
-    }
-  };
-
   // Per-function view of the table: one pass over the rows, then O(lookup)
   // per program function — the table is scanned per module per link round,
   // so a corpus-sized inner loop per function would go quadratic. Vectors
@@ -542,7 +535,6 @@ int AnnoDb::ApplyAttributes(Program* prog, const ImportOptions& opts) const {
         if (!row.defined || row.module == opts.importer) {
           continue;
         }
-        note(row);
         if ((row.may_block || row.blocking) && !fn->attrs.blocking) {
           fn->attrs.blocking = true;
           changed = true;
@@ -593,16 +585,12 @@ int AnnoDb::ApplyAttributes(Program* prog, const ImportOptions& opts) const {
               fn->attrs.stack_below = row.stack_below;
               changed = true;
             }
-            if (row.cross_recursive) {
-              note(row);
-            }
           }
           continue;
         }
         if (row.module == opts.importer) {
           continue;
         }
-        note(row);
         if (row.entered_atomic && !fn->attrs.noblock && !fn->attrs.entered_atomic) {
           fn->attrs.entered_atomic = true;
           changed = true;
@@ -621,9 +609,6 @@ int AnnoDb::ApplyAttributes(Program* prog, const ImportOptions& opts) const {
     if (changed) {
       ++updated;
     }
-  }
-  if (opts.out_signature != nullptr) {
-    *opts.out_signature = std::move(sig);
   }
   return updated;
 }

@@ -148,18 +148,18 @@ class AnnoDb {
   // link-stage stack facts stored on its definer rows.
   struct ImportOptions {
     std::string importer;
-    // Optional out-params: the points-to seeds implied by the summary table
-    // (returns_points of extern callees, param_points of own functions) and
-    // a canonical signature of everything applied, so a session can detect
-    // "imports changed" without re-running an analysis.
+    // Optional out-param: the points-to seeds implied by the summary table
+    // (returns_points of extern callees, param_points of own functions).
+    // The session computes the matching import signature itself, from its
+    // own row index (AnalysisSession::ImportSignatures).
     PointsToLinkSeeds* out_seeds = nullptr;
-    std::string* out_signature = nullptr;
   };
   int ApplyAttributes(Program* prog, const ImportOptions& opts) const;
 
   // The summary fact table, keyed by (module, function). AddSummary
   // replaces any existing row with the same key.
   void AddSummary(FuncSummary row);
+  bool RemoveSummary(const std::string& module, const std::string& function);
   const std::map<std::pair<std::string, std::string>, FuncSummary>& summaries() const {
     return summaries_;
   }

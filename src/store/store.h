@@ -59,7 +59,9 @@ inline constexpr uint8_t kStoreMagic0 = 0xA7;
 inline constexpr uint8_t kStoreMagic1 = 0xD5;
 // v2: function fingerprints switched to the linear arena-slab hash
 // (src/analysis/fingerprint.h) — old stored fingerprints are incomparable.
-inline constexpr uint8_t kStoreVersion = 2;
+// v3: import signatures are built from the session's row index in sorted
+// name order, with stack facts split out (AnalysisSession::ImportSignatures).
+inline constexpr uint8_t kStoreVersion = 3;
 inline constexpr uint8_t kStoreFlagLinked = 1u << 0;
 inline constexpr uint8_t kStoreFlagConverged = 1u << 1;
 inline constexpr size_t kStoreHeaderSize = 4;

@@ -1,7 +1,11 @@
 #include "src/tool/session.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <future>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/analysis/fingerprint.h"
@@ -204,6 +208,7 @@ void AnalysisSession::AddModule(const std::string& name, std::vector<SourceFile>
   }
   st->files = std::move(files);
   st->dirty = true;
+  st->memo.clear();
 }
 
 void AnalysisSession::AddModule(ModuleSources module) {
@@ -219,13 +224,14 @@ bool AnalysisSession::RemoveModule(const std::string& name) {
   // facts: retract its component and let the next RunLinked re-derive it.
   if (!link_table_.summaries().empty()) {
     for (const std::string& m : LinkedComponentOf({name})) {
-      link_table_.RetractModule(m);
+      RetractLinkRows(m, nullptr);
       if (m != name) {
         Invalidate(m);
       }
     }
   }
   modules_.erase(it);
+  link_names_stale_ = true;
   return true;
 }
 
@@ -256,6 +262,7 @@ bool AnalysisSession::ReplaceFunction(const std::string& module, const std::stri
     if (FindDefinition(f.text, function, &begin, &end)) {
       f.text = f.text.substr(0, begin) + def + f.text.substr(end);
       it->second->dirty = true;
+      it->second->memo.clear();
       return true;
     }
   }
@@ -270,6 +277,7 @@ bool AnalysisSession::ReplaceModuleSources(const std::string& name,
   }
   it->second->files = std::move(files);
   it->second->dirty = true;
+  it->second->memo.clear();
   return true;
 }
 
@@ -317,13 +325,22 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
   // solve) with the current fact table. The fingerprints above were taken
   // first — imports are not source edits; the import signature below is
   // what detects their changes.
+  std::set<std::string> defined_names;
+  std::set<std::string> extern_refs;
+  for (const auto& [fname, fn] : comp->sema->func_map()) {
+    if (fn->func_id < 0 || fn->is_builtin) {
+      continue;
+    }
+    (fn->body != nullptr ? defined_names : extern_refs).insert(std::string(fname));
+  }
   std::string import_sig;
+  std::string memo_key;
+  ImportSignatures(name, defined_names, extern_refs, &import_sig, &memo_key);
   st->link_seeds.clear();
   if (!link_table_.summaries().empty()) {
     AnnoDb::ImportOptions iopts;
     iopts.importer = name;
     iopts.out_seeds = &st->link_seeds;
-    iopts.out_signature = &import_sig;
     link_table_.ApplyAttributes(&comp->prog, iopts);
   }
 
@@ -452,13 +469,12 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
 
   // Refresh the snapshots the next incremental run diffs against.
   st->import_sig = std::move(import_sig);
-  st->defined_names.clear();
-  st->extern_refs.clear();
-  for (const auto& [fname, fn] : comp->sema->func_map()) {
-    if (fn->func_id < 0 || fn->is_builtin) {
-      continue;
-    }
-    (fn->body != nullptr ? st->defined_names : st->extern_refs).insert(std::string(fname));
+  st->memo_key = std::move(memo_key);
+  if (!st->have_link_names || defined_names != st->defined_names ||
+      extern_refs != st->extern_refs) {
+    st->defined_names = std::move(defined_names);
+    st->extern_refs = std::move(extern_refs);
+    st->link_names_changed = true;
   }
   st->have_link_names = true;
   st->have_snapshot = false;
@@ -484,6 +500,12 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
 }
 
 SessionResult AnalysisSession::Run() {
+  const bool cancelled = AnalyzeDirty();
+  // Phase C — deterministic corpus merge, in sorted-module-name order.
+  return MergeResult(cancelled);
+}
+
+bool AnalysisSession::AnalyzeDirty() {
   // Phase A — frontend, serial: the FrontendCache hands every compilation
   // the same prelude token stream (lexed exactly once per session).
   std::vector<std::pair<const std::string*, ModuleState*>> to_analyze;
@@ -547,9 +569,7 @@ SessionResult AnalysisSession::Run() {
       Analyze(*mod_name, st);
     }
   }
-
-  // Phase C — deterministic corpus merge, in sorted-module-name order.
-  return MergeResult(cancelled);
+  return cancelled;
 }
 
 SessionResult AnalysisSession::MergeResult(bool cancelled) const {
@@ -686,35 +706,212 @@ std::vector<FuncSummary> AnalysisSession::ExtractSummaries(const std::string& na
   return out;
 }
 
-void AnalysisSession::ComputeLinkStackFacts() {
-  link_conflicts_.clear();
-  // Definer rows only; first (sorted-module) definer wins a conflicted name.
-  std::map<std::string, std::pair<std::string, const FuncSummary*>> definer;
-  for (const auto& [key, row] : link_table_.summaries()) {
-    if (!row.defined) {
+// The link table and its row index. Every change to link_table_ goes
+// through PutLinkRow/RetractLinkRows, so link_rows_ always holds the same
+// rows: their canonical bytes (computed once, when a row enters) and their
+// stack facts (updated in place when the condensation moves them). A round's
+// LinkDelta records the first-seen state of each row it touched; diffing
+// those against link_rows_ is the round's table diff, and costs what
+// changed, not what the table holds.
+
+void AnalysisSession::PutLinkRow(LinkRowPtr row, int64_t stack_below, bool cross_recursive,
+                                 LinkDelta* delta) {
+  LinkRowKey key{row->row.function, row->row.module};
+  auto it = link_rows_.find(key);
+  if (delta != nullptr) {
+    delta->emplace(key, it == link_rows_.end() ? std::nullopt
+                                               : std::optional<LinkRowState>(it->second));
+  }
+  FuncSummary copy = row->row;
+  copy.stack_below = stack_below;
+  copy.cross_recursive = cross_recursive;
+  link_table_.AddSummary(std::move(copy));
+  link_rows_[std::move(key)] = LinkRowState{std::move(row), stack_below, cross_recursive};
+}
+
+void AnalysisSession::RetractLinkRows(const std::string& module, LinkDelta* delta) {
+  const auto& rows = link_table_.summaries();
+  for (auto it = rows.lower_bound({module, std::string()});
+       it != rows.end() && it->first.first == module; ++it) {
+    auto mirror = link_rows_.find({it->first.second, module});
+    if (mirror == link_rows_.end()) {
       continue;
     }
-    auto [it, inserted] = definer.emplace(row.function, std::make_pair(key.first, &row));
-    if (!inserted) {
-      link_conflicts_.insert(row.function);
+    if (delta != nullptr) {
+      delta->emplace(mirror->first, mirror->second);
+    }
+    link_rows_.erase(mirror);
+  }
+  link_table_.RetractModule(module);  // the table holds only summary rows
+}
+
+void AnalysisSession::PublishLinkRows(const std::string& module,
+                                      const std::vector<LinkRowPtr>& rows, LinkDelta* delta) {
+  // In place: an unchanged row costs one lookup. A changed row keeps its
+  // stack facts; ComputeLinkStackFacts recomputes every row's.
+  std::unordered_set<std::string_view> exported;
+  for (const LinkRowPtr& row : rows) {
+    exported.insert(row->row.function);
+    LinkRowKey key{row->row.function, module};
+    auto it = link_rows_.find(key);
+    if (it == link_rows_.end()) {
+      PutLinkRow(row, -1, false, delta);
+      continue;
+    }
+    if (it->second.row != row && it->second.row->core != row->core) {
+      if (delta != nullptr) {
+        delta->emplace(key, it->second);
+      }
+      FuncSummary copy = row->row;
+      copy.stack_below = it->second.stack_below;
+      copy.cross_recursive = it->second.cross_recursive;
+      link_table_.AddSummary(std::move(copy));
+    }
+    it->second.row = row;
+  }
+  // Rows the module no longer exports.
+  std::vector<std::string> gone;
+  const auto& table = link_table_.summaries();
+  for (auto it = table.lower_bound({module, std::string()});
+       it != table.end() && it->first.first == module; ++it) {
+    if (exported.count(it->first.second) == 0) {
+      gone.push_back(it->first.second);
     }
   }
-  const int n = static_cast<int>(definer.size());
-  std::vector<std::string> names;
-  std::vector<std::string> owner;
-  std::vector<int64_t> frames;
-  names.reserve(static_cast<size_t>(n));
-  std::map<std::string, int> index;
-  for (const auto& [fname, def] : definer) {
-    index[fname] = static_cast<int>(names.size());
-    names.push_back(fname);
-    owner.push_back(def.first);
-    frames.push_back(def.second->frame_size);
+  for (const std::string& function : gone) {
+    auto it = link_rows_.find({function, module});
+    if (delta != nullptr) {
+      delta->emplace(it->first, it->second);
+    }
+    link_rows_.erase(it);
+    link_table_.RemoveSummary(module, function);
   }
+}
+
+void AnalysisSession::LoadLinkRows(std::vector<FuncSummary> rows) {
+  link_table_ = AnnoDb();
+  link_rows_.clear();
+  for (FuncSummary& s : rows) {
+    const int64_t stack_below = s.stack_below;
+    const bool cross_recursive = s.cross_recursive;
+    PutLinkRow(std::make_shared<const LinkRow>(std::move(s)), stack_below, cross_recursive,
+               nullptr);
+  }
+}
+
+const std::map<std::string, AnalysisSession::LinkNameUsers>& AnalysisSession::LinkNames() {
+  bool stale = link_names_stale_;
+  for (auto& [name, st] : modules_) {
+    (void)name;
+    stale |= st->link_names_changed;
+    st->link_names_changed = false;
+  }
+  if (stale) {
+    link_names_.clear();
+    for (const auto& [mname, st] : modules_) {
+      if (!st->have_link_names) {
+        continue;
+      }
+      for (const std::string& f : st->defined_names) {
+        link_names_[f].definers.push_back(mname);
+      }
+      for (const std::string& f : st->extern_refs) {
+        link_names_[f].referencers.push_back(mname);
+      }
+    }
+    link_names_stale_ = false;
+  }
+  return link_names_;
+}
+
+void AnalysisSession::ImportSignatures(const std::string& importer,
+                                       const std::set<std::string>& defined,
+                                       const std::set<std::string>& externs, std::string* full,
+                                       std::string* rows) const {
+  // Exactly the rows AnnoDb::ApplyAttributes reads, in name order. `rows`
+  // gets each row's stack-free bytes; `full` adds the stack facts, which
+  // only StackCheck consumes.
+  std::string full_out;
+  std::string rows_out;
+  auto add_stack = [&full_out](const LinkRowState& s) {
+    full_out += '#';
+    full_out += std::to_string(s.stack_below);
+    full_out += s.cross_recursive ? "x\n" : "\n";
+  };
+  // An extern declaration adopts the first definer row another module
+  // exported.
+  for (const std::string& f : externs) {
+    for (auto it = link_rows_.lower_bound({f, std::string()});
+         it != link_rows_.end() && it->first.first == f; ++it) {
+      const LinkRowState& s = it->second;
+      if (!s.row->row.defined || it->first.second == importer) {
+        continue;
+      }
+      rows_out += s.row->core;
+      rows_out += '\n';
+      full_out += s.row->core;
+      add_stack(s);
+      break;
+    }
+  }
+  // A defined function adopts other modules' usage rows, plus the stack
+  // facts of its own definer row when it sits on a cross-module cycle.
+  for (const std::string& f : defined) {
+    for (auto it = link_rows_.lower_bound({f, std::string()});
+         it != link_rows_.end() && it->first.first == f; ++it) {
+      const LinkRowState& s = it->second;
+      if (it->first.second == importer) {
+        if (s.row->row.defined && s.cross_recursive) {
+          full_out += '@';
+          full_out += f;
+          add_stack(s);
+        }
+        continue;
+      }
+      if (s.row->row.defined) {
+        continue;
+      }
+      rows_out += s.row->core;
+      rows_out += '\n';
+      full_out += s.row->core;
+      full_out += '\n';
+    }
+  }
+  if (full != nullptr) {
+    *full = std::move(full_out);
+  }
+  if (rows != nullptr) {
+    *rows = std::move(rows_out);
+  }
+}
+
+void AnalysisSession::ComputeLinkStackFacts(LinkDelta* delta) {
+  link_conflicts_.clear();
+  // One sweep over link_rows_ (ordered by function, then module) finds each
+  // function's first definer, which wins a conflicted name. Every other row
+  // (usage rows, later definers) carries no stack facts, so the facts are a
+  // function of the table alone.
+  std::vector<std::map<LinkRowKey, LinkRowState>::iterator> definer;
+  std::unordered_map<std::string_view, int> index;
+  for (auto it = link_rows_.begin(); it != link_rows_.end(); ++it) {
+    const bool first_definer =
+        it->second.row->row.defined &&
+        (definer.empty() || definer.back()->first.first != it->first.first);
+    if (first_definer) {
+      index.emplace(it->first.first, static_cast<int>(definer.size()));
+      definer.push_back(it);
+      continue;
+    }
+    if (it->second.row->row.defined) {
+      link_conflicts_.insert(it->first.first);
+    }
+    SetLinkStackFacts(&*it, -1, false, delta);
+  }
+  const int n = static_cast<int>(definer.size());
   std::vector<std::vector<int>> adj(static_cast<size_t>(n));
   std::vector<uint8_t> self_loop(static_cast<size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
-    for (const std::string& callee : definer[names[static_cast<size_t>(i)]].second->callees) {
+    for (const std::string& callee : definer[static_cast<size_t>(i)]->second.row->row.callees) {
       auto it = index.find(callee);
       if (it == index.end()) {
         continue;  // builtin or never-defined name: no frame, no edge
@@ -738,10 +935,15 @@ void AnalysisSession::ComputeLinkStackFacts() {
   std::vector<uint8_t> multi_module(scc_count, 0);
   std::vector<std::vector<int>> succs(scc_count);
   for (size_t s = 0; s < scc_count; ++s) {
-    std::set<std::string> mods;
+    const std::string* first_owner = nullptr;
     for (int v : scc_members[s]) {
-      weight[s] += frames[static_cast<size_t>(v)];
-      mods.insert(owner[static_cast<size_t>(v)]);
+      const auto& def = *definer[static_cast<size_t>(v)];
+      weight[s] += def.second.row->row.frame_size;
+      if (first_owner == nullptr) {
+        first_owner = &def.first.second;
+      } else if (*first_owner != def.first.second) {
+        multi_module[s] = 1;
+      }
       if (self_loop[static_cast<size_t>(v)]) {
         cyclic[s] = 1;
       }
@@ -749,7 +951,6 @@ void AnalysisSession::ComputeLinkStackFacts() {
     if (scc_members[s].size() > 1) {
       cyclic[s] = 1;
     }
-    multi_module[s] = mods.size() > 1 ? 1 : 0;
   }
   for (int v = 0; v < n; ++v) {
     for (int w : adj[static_cast<size_t>(v)]) {
@@ -772,32 +973,53 @@ void AnalysisSession::ComputeLinkStackFacts() {
   }
 
   for (int v = 0; v < n; ++v) {
-    FuncSummary* row =
-        link_table_.FindSummary(owner[static_cast<size_t>(v)], names[static_cast<size_t>(v)]);
-    if (row == nullptr) {
-      continue;
-    }
     size_t s = static_cast<size_t>(scc_of[static_cast<size_t>(v)]);
-    row->stack_below = depth[s];
-    row->cross_recursive = cyclic[s] != 0 && multi_module[s] != 0;
+    SetLinkStackFacts(&*definer[static_cast<size_t>(v)], depth[s],
+                      cyclic[s] != 0 && multi_module[s] != 0, delta);
   }
 }
 
-std::set<std::string> AnalysisSession::LinkedComponentOf(
-    const std::set<std::string>& roots) const {
-  std::map<std::string, std::vector<std::string>> definers;
-  std::map<std::string, std::vector<std::string>> referencers;
-  for (const auto& [mname, st] : modules_) {
-    if (!st->have_link_names) {
-      continue;
-    }
-    for (const std::string& f : st->defined_names) {
-      definers[f].push_back(mname);
-    }
-    for (const std::string& f : st->extern_refs) {
-      referencers[f].push_back(mname);
+bool AnalysisSession::StackInputsChanged(const LinkDelta& delta) const {
+  // The condensation reads only which definer rows exist and their callees
+  // and frame sizes.
+  for (const auto& [key, before] : delta) {
+    auto after = link_rows_.find(key);
+    const FuncSummary* old_row = before.has_value() ? &before->row->row : nullptr;
+    const FuncSummary* new_row = after != link_rows_.end() ? &after->second.row->row : nullptr;
+    const bool was_definer = old_row != nullptr && old_row->defined;
+    const bool is_definer = new_row != nullptr && new_row->defined;
+    if (was_definer != is_definer ||
+        (is_definer && (old_row->frame_size != new_row->frame_size ||
+                        old_row->callees != new_row->callees))) {
+      return true;
     }
   }
+  return false;
+}
+
+void AnalysisSession::SetLinkStackFacts(std::pair<const LinkRowKey, LinkRowState>* entry,
+                                        int64_t stack_below, bool cross_recursive,
+                                        LinkDelta* delta) {
+  LinkRowState& state = entry->second;
+  if (state.stack_below == stack_below && state.cross_recursive == cross_recursive) {
+    return;
+  }
+  if (delta != nullptr) {
+    delta->emplace(entry->first, state);
+  }
+  state.stack_below = stack_below;
+  state.cross_recursive = cross_recursive;
+  FuncSummary* row = link_table_.FindSummary(entry->first.second, entry->first.first);
+  row->stack_below = stack_below;
+  row->cross_recursive = cross_recursive;
+}
+
+std::set<std::string> AnalysisSession::LinkedComponentOf(const std::set<std::string>& roots) {
+  const std::map<std::string, LinkNameUsers>& names = LinkNames();
+  auto users = [&names](const std::string& f) -> const LinkNameUsers* {
+    auto it = names.find(f);
+    return it == names.end() ? nullptr : &it->second;
+  };
   std::set<std::string> out;
   std::vector<std::string> work(roots.begin(), roots.end());
   while (!work.empty()) {
@@ -811,17 +1033,13 @@ std::set<std::string> AnalysisSession::LinkedComponentOf(
       continue;
     }
     for (const std::string& f : it->second->defined_names) {
-      for (const std::string& user : referencers[f]) {
-        if (out.count(user) == 0) {
-          work.push_back(user);
-        }
+      if (const LinkNameUsers* u = users(f)) {
+        work.insert(work.end(), u->referencers.begin(), u->referencers.end());
       }
     }
     for (const std::string& f : it->second->extern_refs) {
-      for (const std::string& def : definers[f]) {
-        if (out.count(def) == 0) {
-          work.push_back(def);
-        }
+      if (const LinkNameUsers* u = users(f)) {
+        work.insert(work.end(), u->definers.begin(), u->definers.end());
       }
     }
   }
@@ -835,8 +1053,9 @@ void AnalysisSession::PrepareLinkedRun() {
   // stale "f may block" row can keep supporting itself around a
   // cross-module cycle after the edit that justified it is gone. So every
   // edit clears the whole cross-module dependency component containing the
-  // edited modules — their rows are re-derived from below, while modules
-  // outside the component keep their converged facts and cached results.
+  // edited modules — their rows are re-derived from below (mostly out of
+  // the link memo), while modules outside the component keep their
+  // converged facts and cached results.
   std::set<std::string> source_dirty;
   for (auto& [name, st] : modules_) {
     if (st->dirty) {
@@ -845,46 +1064,49 @@ void AnalysisSession::PrepareLinkedRun() {
   }
   if (!linked_ever_) {
     link_table_ = AnnoDb();
+    link_rows_.clear();
     for (auto& [name, st] : modules_) {
       (void)name;
       st->dirty = true;
     }
   } else if (!source_dirty.empty()) {
     for (const std::string& m : LinkedComponentOf(source_dirty)) {
-      link_table_.RetractModule(m);
+      RetractLinkRows(m, nullptr);
       Invalidate(m);
     }
   }
 }
 
-AnalysisSession::LinkTableSnapshot AnalysisSession::SnapshotLinkTable() const {
-  LinkTableSnapshot snap;
-  for (const auto& [key, row] : link_table_.summaries()) {
-    snap[key] = {row.Canonical(), row.defined, row.cross_recursive, row.stack_below};
-  }
-  return snap;
-}
-
-std::set<std::string> AnalysisSession::DiffLinkTable(const LinkTableSnapshot& before,
-                                                     const LinkTableSnapshot& after) const {
+std::set<std::string> AnalysisSession::DirtyModules(const LinkDelta& delta) {
   // Mark exactly the importers of changed facts dirty: a changed definer
   // row dirties the modules that declare the function extern; a changed
   // usage row dirties its definer; changed link-stage stack facts feed back
   // into the definer itself when a cross-module cycle appears or
   // disappears.
+  const std::map<std::string, LinkNameUsers>& names = LinkNames();
   std::set<std::string> dirty;
-  auto visit_changed = [this, &dirty](const std::pair<std::string, std::string>& key,
-                                      const LinkRowState* oldr, const LinkRowState* newr) {
-    const std::string& exporter = key.first;
-    const std::string& fname = key.second;
-    bool defined = newr != nullptr ? newr->defined : oldr->defined;
-    for (const auto& [mname, st] : modules_) {
-      if (mname == exporter || !st->have_link_names) {
-        continue;
-      }
-      if (defined ? st->extern_refs.count(fname) != 0
-                  : st->defined_names.count(fname) != 0) {
-        dirty.insert(mname);
+  for (const auto& [key, before] : delta) {
+    auto after_it = link_rows_.find(key);
+    const LinkRowState* oldr = before.has_value() ? &*before : nullptr;
+    const LinkRowState* newr = after_it == link_rows_.end() ? nullptr : &after_it->second;
+    if (oldr == nullptr && newr == nullptr) {
+      continue;
+    }
+    if (oldr != nullptr && newr != nullptr && oldr->stack_below == newr->stack_below &&
+        oldr->cross_recursive == newr->cross_recursive &&
+        (oldr->row == newr->row || oldr->row->core == newr->row->core)) {
+      continue;
+    }
+    const std::string& fname = key.first;
+    const std::string& exporter = key.second;
+    bool defined = (newr != nullptr ? newr : oldr)->row->row.defined;
+    auto users = names.find(fname);
+    if (users != names.end()) {
+      for (const std::string& m :
+           defined ? users->second.referencers : users->second.definers) {
+        if (m != exporter) {
+          dirty.insert(m);
+        }
       }
     }
     if (defined) {
@@ -898,41 +1120,166 @@ std::set<std::string> AnalysisSession::DiffLinkTable(const LinkTableSnapshot& be
         dirty.insert(exporter);
       }
     }
-  };
-  for (const auto& [key, oldr] : before) {
-    auto it = after.find(key);
-    if (it == after.end()) {
-      visit_changed(key, &oldr, nullptr);
-    } else if (it->second.canon != oldr.canon) {
-      visit_changed(key, &oldr, &it->second);
-    }
-  }
-  for (const auto& [key, newr] : after) {
-    if (before.count(key) == 0) {
-      visit_changed(key, nullptr, &newr);
-    }
   }
   return dirty;
 }
 
-void AnalysisSession::FinishLinkedRun(int max_rounds, SessionResult* result) {
-  link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
-  for (const auto& [mname, st] : modules_) {
-    if (!st->have_link_names) {
+// ---------------------------------------------------------------------------
+// The link memo: early cutoff for the fixpoint replay.
+//
+// A module's exported rows are a pure function of its sources and the rows
+// it imports (the determinism contract the warm/cold gate relies on), and
+// of those rows only StackCheck reads the stack facts, which no exported row
+// depends on. So per module, the row-relevant import signature (sources
+// fixed) determines the export: a dirty module whose signature was seen
+// before gets the memoized rows, and the round's table, diff and dirty set
+// are what its re-analysis would have produced.
+// ---------------------------------------------------------------------------
+
+AnalysisSession::MemoHits AnalysisSession::ServeFromMemo() {
+  MemoHits served;
+  for (auto& [name, st] : modules_) {
+    if (!st->dirty || st->memo.empty()) {
       continue;
     }
-    for (const auto& [nname, nst] : modules_) {
-      if (mname == nname || !nst->have_link_names) {
-        continue;
+    std::string key;
+    ImportSignatures(name, st->defined_names, st->extern_refs, nullptr, &key);
+    auto hit = st->memo.find(key);
+    if (hit == st->memo.end()) {
+      continue;
+    }
+    hit->second.relink = link_runs_;
+    st->dirty = false;
+    served.emplace_back(name, &hit->second);
+  }
+  return served;
+}
+
+void AnalysisSession::PublishRound(const MemoHits& served, LinkDelta* delta) {
+  for (auto& [name, st] : modules_) {
+    if (!st->analyzed_now) {
+      continue;
+    }
+    std::vector<LinkRowPtr> rows;
+    if (st->ok) {
+      // Memoize the export, sharing rows identical to ones the module's
+      // other entries already hold.
+      std::unordered_map<std::string_view, LinkRowPtr> known;
+      for (const auto& [key, entry] : st->memo) {
+        (void)key;
+        for (const LinkRowPtr& row : entry.rows) {
+          known.emplace(row->core, row);
+        }
       }
-      for (const std::string& f : st->extern_refs) {
-        if (nst->defined_names.count(f) != 0) {
-          ++link_stats_.cross_edges;
-          break;
+      for (FuncSummary& summary : ExtractSummaries(name, *st)) {
+        auto row = std::make_shared<const LinkRow>(std::move(summary));
+        auto same = known.find(row->core);
+        rows.push_back(same != known.end() ? same->second : std::move(row));
+      }
+      MemoEntry& entry = st->memo[st->memo_key];
+      entry.rows = rows;
+      entry.relink = link_runs_;
+    }
+    PublishLinkRows(name, rows, delta);
+  }
+  for (const auto& [name, entry] : served) {
+    PublishLinkRows(name, entry->rows, delta);
+  }
+}
+
+int AnalysisSession::AnalyzedNow() const {
+  return static_cast<int>(std::count_if(modules_.begin(), modules_.end(),
+                                        [](const auto& m) { return m.second->analyzed_now; }));
+}
+
+std::set<std::string> AnalysisSession::RebuildStaleFindings() {
+  // Findings come only from real analyses. A module served from the memo
+  // since its last analysis may hold findings computed under other imports
+  // (stack facts included), so it is analyzed once more against the
+  // converged table.
+  std::vector<std::string> stale;
+  for (const auto& [name, st] : modules_) {
+    if (st->dirty || !st->ok || !st->have_link_names) {
+      continue;
+    }
+    std::string full;
+    ImportSignatures(name, st->defined_names, st->extern_refs, &full, nullptr);
+    if (full != st->import_sig) {
+      stale.push_back(name);
+    }
+  }
+  if (stale.empty()) {
+    return {};
+  }
+  trace::Span span("session.findings_rebuild", {"modules", static_cast<int64_t>(stale.size())});
+  for (const std::string& m : stale) {
+    Invalidate(m);
+  }
+  if (AnalyzeDirty()) {
+    link_stats_.cancelled = true;
+    return {};
+  }
+  link_stats_.module_analyses += AnalyzedNow();
+  link_stats_.findings_rebuilds += AnalyzedNow();
+  // The rebuilt rows cannot differ from the memo's. If they do, the memo
+  // broke its contract: report it, and let the fixpoint carry on from the
+  // real rows.
+  LinkDelta rebuilt;
+  PublishRound({}, &rebuilt);
+  if (StackInputsChanged(rebuilt)) {
+    ComputeLinkStackFacts(&rebuilt);
+  }
+  for (const auto& [key, before] : rebuilt) {
+    auto now = link_rows_.find(key);
+    if (!before.has_value() || now == link_rows_.end() ||
+        before->row->core != now->second.row->core) {
+      memo_mismatches_.insert(key.second);
+    }
+  }
+  return DirtyModules(rebuilt);
+}
+
+void AnalysisSession::PruneLinkMemos() {
+  for (auto& [name, st] : modules_) {
+    (void)name;
+    for (auto it = st->memo.begin(); it != st->memo.end();) {
+      it = it->second.relink == link_runs_ ? std::next(it) : st->memo.erase(it);
+    }
+  }
+}
+
+int64_t AnalysisSession::LinkMemoBytes() const {
+  // Signature keys plus the canonical bytes of each distinct memoized row.
+  int64_t bytes = 0;
+  for (const auto& [name, st] : modules_) {
+    (void)name;
+    std::set<const LinkRow*> rows;
+    for (const auto& [key, entry] : st->memo) {
+      bytes += static_cast<int64_t>(key.size());
+      for (const LinkRowPtr& row : entry.rows) {
+        if (rows.insert(row.get()).second) {
+          bytes += static_cast<int64_t>(row->core.size());
         }
       }
     }
   }
+  return bytes;
+}
+
+void AnalysisSession::FinishLinkedRun(int max_rounds, SessionResult* result) {
+  link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
+  std::set<std::pair<std::string, std::string>> edges;  // (importer, definer)
+  for (const auto& [fname, users] : LinkNames()) {
+    (void)fname;
+    for (const std::string& importer : users.referencers) {
+      for (const std::string& definer : users.definers) {
+        if (importer != definer) {
+          edges.emplace(importer, definer);
+        }
+      }
+    }
+  }
+  link_stats_.cross_edges = static_cast<int>(edges.size());
   linked_ever_ = true;
 
   if (!link_stats_.converged && !link_stats_.cancelled) {
@@ -952,25 +1299,35 @@ void AnalysisSession::FinishLinkedRun(int max_rounds, SessionResult* result) {
     f.witness = {fname};
     result->findings.push_back(std::move(f));
   }
+  for (const std::string& mname : memo_mismatches_) {
+    Finding f;
+    f.tool = "session";
+    f.severity = FindingSeverity::kError;
+    f.module = mname;
+    f.message = "module '" + mname +
+                "' re-analyzed to different summary rows than the link memo served";
+    result->findings.push_back(std::move(f));
+  }
 }
 
 SessionResult AnalysisSession::RunLinked() {
   PrepareLinkedRun();
+  ++link_runs_;
+  memo_mismatches_.clear();
 
   // Safety cap: facts grow monotonically within a linked run, so the
   // fixpoint terminates on its own; the cap only guards against a future
   // non-monotone exporter bug turning into an infinite loop.
   const int max_rounds = static_cast<int>(modules_.size()) * 4 + 8;
-  SessionResult result;
+  bool ran_round = false;  // whether any round got as far as AnalyzeDirty
   for (;;) {
-    // Cancellation boundary between rounds (Run() also checks between
-    // modules): an aborted fixpoint reports cancelled, leaves the dirty
-    // modules dirty, and skips the summary re-export — the table keeps the
-    // last fully-exported round, so a resumed RunLinked() re-derives from a
-    // consistent base.
+    // Cancellation boundary between rounds (AnalyzeDirty also checks
+    // between modules): an aborted fixpoint reports cancelled, leaves the
+    // dirty modules dirty, and skips the summary re-export — the table keeps
+    // the last fully-exported round, so a resumed RunLinked() re-derives
+    // from a consistent base.
     if (cancel_requested()) {
       link_stats_.cancelled = true;
-      result.cancelled = true;
       break;
     }
     ++link_stats_.rounds;
@@ -980,26 +1337,37 @@ SessionResult AnalysisSession::RunLinked() {
     trace::Span round_span("session.link_round",
                            {"round", static_cast<int64_t>(link_stats_.rounds)});
     const uint64_t round_t0 = trace::Enabled() ? MonotonicNowNs() : 0;
-    result = Run();
-    if (result.cancelled) {
+    const MemoHits served = ServeFromMemo();
+    ran_round = true;
+    if (AnalyzeDirty()) {
+      for (const auto& [name, entry] : served) {
+        (void)entry;
+        Invalidate(name);  // not published: still dirty for the resume
+      }
       link_stats_.cancelled = true;
       break;
     }
-    link_stats_.module_analyses += result.modules_analyzed;
+    const int misses = AnalyzedNow();
+    link_stats_.module_analyses += misses;
+    link_stats_.memo_hits += static_cast<int>(served.size());
+    if (trace::Enabled()) {
+      trace::GetCounter("session.memo_hit")->Add(served.size());
+      trace::GetCounter("session.memo_miss")->Add(static_cast<uint64_t>(misses));
+    }
 
-    LinkTableSnapshot before = SnapshotLinkTable();
-    for (auto& [name, st] : modules_) {
-      if (!st->analyzed_now) {
-        continue;
-      }
-      link_table_.RetractModule(name);  // the table holds only summary rows
-      for (FuncSummary& row : ExtractSummaries(name, *st)) {
-        link_table_.AddSummary(std::move(row));
+    LinkDelta delta;
+    PublishRound(served, &delta);
+    // The first round follows the retraction, which no delta recorded.
+    if (link_stats_.rounds == 1 || StackInputsChanged(delta)) {
+      ComputeLinkStackFacts(&delta);
+    }
+    std::set<std::string> dirty = DirtyModules(delta);
+    if (dirty.empty()) {
+      dirty = RebuildStaleFindings();
+      if (link_stats_.cancelled) {
+        break;
       }
     }
-    ComputeLinkStackFacts();
-
-    std::set<std::string> dirty = DiffLinkTable(before, SnapshotLinkTable());
     round_span.AddArg({"dirty", static_cast<int64_t>(dirty.size())});
     if (trace::Enabled()) {
       trace::GetHistogram("session.link_round_us")
@@ -1021,6 +1389,18 @@ SessionResult AnalysisSession::RunLinked() {
     }
   }
 
+  if (!link_stats_.cancelled) {
+    PruneLinkMemos();
+  }
+  if (trace::Enabled()) {
+    trace::GetGauge("session.memo_bytes")->Set(LinkMemoBytes());
+  }
+  // One corpus merge, after the last analysis pass.
+  SessionResult result;
+  if (ran_round) {
+    result = MergeResult(link_stats_.cancelled);
+  }
+  result.cancelled = link_stats_.cancelled;
   FinishLinkedRun(max_rounds, &result);
   return result;
 }
@@ -1081,6 +1461,7 @@ PipelineRun AnalysisSession::TakeModule(const std::string& name) {
   run.ctx = std::move(st.ctx);
   run.result = std::move(st.result);
   modules_.erase(it);
+  link_names_stale_ = true;
   return run;
 }
 

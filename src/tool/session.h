@@ -38,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -86,7 +87,9 @@ struct SessionResult {
 // Outcome counters of the last RunLinked() fixpoint.
 struct LinkStats {
   int rounds = 0;              // analysis rounds until the table stabilized
-  int module_analyses = 0;     // sum of modules analyzed across rounds
+  int module_analyses = 0;     // real module analyses (rounds + rebuilds)
+  int memo_hits = 0;           // dirty modules served from the link memo
+  int findings_rebuilds = 0;   // converged-table re-analyses for findings
   int summary_rows = 0;        // rows in the converged fact table
   int cross_edges = 0;         // (importer, definer) module pairs
   bool converged = false;      // false if the safety cap fired or cancelled
@@ -182,10 +185,18 @@ class AnalysisSession {
   // tests/session_linked_test.cc and docs/ARCHITECTURE.md for the exact
   // statement, including the stackcheck per-report caveat).
   //
-  // Incremental: a later RunLinked() after source edits retracts and
-  // re-derives only the cross-module dependency component containing the
-  // edited modules; everything outside keeps its converged facts and cached
-  // results.
+  // Incremental: a later RunLinked() after source edits retracts the
+  // cross-module dependency component containing the edited modules and
+  // replays its fixpoint from below; everything outside keeps its converged
+  // facts and cached results. The replay is cheap through an early-cutoff
+  // memo: a module's exported rows are a pure function of its sources and
+  // the non-stack rows it imports, so a dirty module whose sources are
+  // unchanged and whose row-relevant import signature was seen before gets
+  // its rows from the memo without compiling. Rounds, dirty sets and the
+  // table are exactly what full re-analysis would produce. Findings always
+  // come from a real analysis: at convergence, every module whose full
+  // import signature differs from the one its findings were computed under
+  // is analyzed once more (LinkStats::findings_rebuilds).
   SessionResult RunLinked();
   const LinkStats& link_stats() const { return link_stats_; }
 
@@ -261,18 +272,33 @@ class AnalysisSession {
 
  private:
   struct ModuleState;  // defined in session_state.h
+  struct LinkRow;
+  struct MemoEntry;
+  using LinkRowPtr = std::shared_ptr<const LinkRow>;
 
-  // What the link fixpoint diffs per summary row between rounds.
+  // One row of the link table as the fixpoint diffs it: the shared export
+  // bytes plus the stack facts the link stage filled in. Equal states have
+  // equal FuncSummary::Canonical() bytes.
   struct LinkRowState {
-    std::string canon;
-    bool defined = false;
-    bool cross_recursive = false;
+    LinkRowPtr row;
     int64_t stack_below = -1;
+    bool cross_recursive = false;
   };
-  using LinkTableSnapshot = std::map<std::pair<std::string, std::string>, LinkRowState>;
+  // (function, module): a function's rows sit together, in module order.
+  using LinkRowKey = std::pair<std::string, std::string>;
+  // The pre-round state of every row a round touched (nullopt: absent).
+  using LinkDelta = std::map<LinkRowKey, std::optional<LinkRowState>>;
+  // Modules that define / extern-declare one function, in sorted order.
+  struct LinkNameUsers {
+    std::vector<std::string> definers;
+    std::vector<std::string> referencers;
+  };
 
   WorkQueue* pool();
   void Analyze(const std::string& name, ModuleState* st);
+  // Phases A and B of Run(): compile and analyze every dirty module.
+  // Returns true when a cancel stopped it.
+  bool AnalyzeDirty();
   // Phase C of Run(): the deterministic corpus merge over the current
   // module states (shared by Run and the distributed coordinator, which
   // imports worker results into the states instead of analyzing).
@@ -280,14 +306,48 @@ class AnalysisSession {
   // RunLinked()'s retraction preamble: reset stats, clear or
   // component-retract the table for source-dirty modules.
   void PrepareLinkedRun();
-  LinkTableSnapshot SnapshotLinkTable() const;
-  // Importers of changed facts between two snapshots — the modules the
-  // next round must re-analyze.
-  std::set<std::string> DiffLinkTable(const LinkTableSnapshot& before,
-                                      const LinkTableSnapshot& after) const;
   // RunLinked()'s trailer: row/edge counters, non-convergence and
   // multiply-defined-function findings.
   void FinishLinkedRun(int max_rounds, SessionResult* result);
+
+  // Link table maintenance. Every change to link_table_ goes through these,
+  // so link_rows_ mirrors it and `delta` (optional) records what moved.
+  void PutLinkRow(LinkRowPtr row, int64_t stack_below, bool cross_recursive,
+                  LinkDelta* delta);
+  void RetractLinkRows(const std::string& module, LinkDelta* delta);
+  // Replaces a module's rows with a fresh export.
+  void PublishLinkRows(const std::string& module, const std::vector<LinkRowPtr>& rows,
+                       LinkDelta* delta);
+  // Rows parsed from a store (stack facts included) into the table.
+  void LoadLinkRows(std::vector<FuncSummary> rows);
+  // Importers of the rows that changed since `delta` began — the modules the
+  // next round must re-analyze.
+  std::set<std::string> DirtyModules(const LinkDelta& delta);
+  // The import signatures of a module with the given name sets against the
+  // current table. `full` covers every imported row the analysis reads,
+  // stack facts included (the warm-start gate and the findings check);
+  // `rows` leaves out the stack facts (the memo key). Analyze and the memo
+  // lookup both call this, so the two can never disagree.
+  void ImportSignatures(const std::string& importer, const std::set<std::string>& defined,
+                        const std::set<std::string>& externs, std::string* full,
+                        std::string* rows) const;
+  // Function name -> definers/referencers, rebuilt when a name set changed.
+  const std::map<std::string, LinkNameUsers>& LinkNames();
+
+  // The link memo (RunLinked only). ServeFromMemo marks clean every dirty
+  // module whose memo key hits and returns the entries; the rest go through
+  // AnalyzeDirty(). PublishRound then exports the modules it analyzed
+  // (memoizing their rows) and the served entries. At convergence,
+  // RebuildStaleFindings re-analyzes the modules whose findings predate
+  // their current full import signature and returns the importers of any
+  // row that moved (none, unless the memo broke its contract).
+  using MemoHits = std::vector<std::pair<std::string, const MemoEntry*>>;
+  MemoHits ServeFromMemo();
+  void PublishRound(const MemoHits& served, LinkDelta* delta);
+  std::set<std::string> RebuildStaleFindings();
+  int AnalyzedNow() const;  // modules the last AnalyzeDirty() analyzed
+  void PruneLinkMemos();
+  int64_t LinkMemoBytes() const;
 
   // Store plumbing (session_store.cc). BuildStoreSnapshot serializes the
   // whole session; ImportStoreRecord restores one module's persisted state
@@ -299,10 +359,15 @@ class AnalysisSession {
   std::vector<FuncSummary> ExtractSummaries(const std::string& name, ModuleState& st) const;
   // Corpus-level stack facts over the current table (condensation of the
   // exported call edges; cross-module cyclic SCC members marked recursive).
-  void ComputeLinkStackFacts();
+  void ComputeLinkStackFacts(LinkDelta* delta);
+  // Whether the rows `delta` touched can move any stack fact; when not, the
+  // round skips ComputeLinkStackFacts.
+  bool StackInputsChanged(const LinkDelta& delta) const;
+  void SetLinkStackFacts(std::pair<const LinkRowKey, LinkRowState>* entry, int64_t stack_below,
+                         bool cross_recursive, LinkDelta* delta);
   // Modules transitively connected to `roots` through shared function names
   // (in either import direction), per the last exported name sets.
-  std::set<std::string> LinkedComponentOf(const std::set<std::string>& roots) const;
+  std::set<std::string> LinkedComponentOf(const std::set<std::string>& roots);
 
   Pipeline pipeline_;
   bool track_incremental_;
@@ -320,11 +385,19 @@ class AnalysisSession {
   // only summary rows; per-module facts/findings stay with the modules and
   // are merged on ExportAnnoDb().
   AnnoDb link_table_;
+  std::map<LinkRowKey, LinkRowState> link_rows_;
+  std::map<std::string, LinkNameUsers> link_names_;
+  bool link_names_stale_ = true;
   bool linked_ever_ = false;
+  uint64_t link_runs_ = 0;  // RunLinked() calls, for memo pruning
   LinkStats link_stats_;
   // Function names defined in more than one module (a merged-source corpus
   // would reject them); surfaced as session findings by RunLinked.
   std::set<std::string> link_conflicts_;
+  // Modules whose findings rebuild exported rows other than the memo's;
+  // surfaced as session findings (the memo's exactness is checked, not
+  // assumed).
+  std::set<std::string> memo_mismatches_;
 };
 
 }  // namespace ivy

@@ -10,11 +10,33 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tool/session.h"
 
 namespace ivy {
+
+// One exported summary row plus its canonical bytes without the link-stage
+// stack facts, computed once when the row enters the table. Immutable, so
+// the session's row index and the modules' link memos share it instead of
+// copying. The stack facts live beside it (LinkRowState).
+struct AnalysisSession::LinkRow {
+  explicit LinkRow(FuncSummary r) : row(std::move(r)) {
+    row.stack_below = -1;
+    row.cross_recursive = false;
+    core = row.Canonical();
+  }
+  FuncSummary row;
+  std::string core;
+};
+
+// The rows one analysis exported, memoized under its row-relevant import
+// signature. `relink` is the last RunLinked() that produced or served it.
+struct AnalysisSession::MemoEntry {
+  std::vector<LinkRowPtr> rows;
+  uint64_t relink = 0;
+};
 
 struct AnalysisSession::ModuleState {
   std::vector<SourceFile> files;
@@ -35,18 +57,27 @@ struct AnalysisSession::ModuleState {
   bool have_mayblock = false;
   std::set<std::string> prev_mayblock;
 
-  // Link stage. `import_sig` is the canonical form of every summary row the
-  // last analysis imported: when it changes, the module re-solves cold —
-  // imported facts are invisible to the source fingerprints, so the
-  // function-granular warm machinery must not run across an import change.
-  // `link_seeds` is the storage the context's IncrementalHints point at.
+  // Link stage. `import_sig` is the full import signature of the last
+  // analysis (AnalysisSession::ImportSignatures): when it changes, the
+  // module re-solves cold — imported facts are invisible to the source
+  // fingerprints, so the function-granular warm machinery must not run
+  // across an import change. `memo_key` is the same analysis' row-relevant
+  // signature. `link_seeds` is the storage the context's IncrementalHints
+  // point at.
   std::string import_sig;
+  std::string memo_key;
   PointsToLinkSeeds link_seeds;
   // Name sets from the last analysis: what this module defines and which
   // extern functions it references — the cross-module edge structure.
+  // `link_names_changed` tells the session's name index to rebuild.
   bool have_link_names = false;
+  bool link_names_changed = false;
   std::set<std::string> defined_names;
   std::set<std::string> extern_refs;
+  // Early-cutoff memo: row-relevant import signature -> the rows an
+  // analysis of the current sources exported under it. Dropped whenever the
+  // sources change.
+  std::map<std::string, MemoEntry> memo;
 
   ModuleStats stats;
 

@@ -223,11 +223,14 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
     st->sig_fps[fname] = fp.second;
   }
   st->import_sig = rec.import_sig;
+  st->memo_key.clear();
+  st->memo.clear();
   st->link_seeds.clear();
   if (!keep_names) {
     // A compile-failed worker record carries no names; the coordinator
     // keeps the module's previous edge structure — exactly what the
     // in-process path does when Analyze never runs.
+    st->link_names_changed = true;
     st->have_link_names = rec.has_link_names;
     st->defined_names =
         std::set<std::string>(rec.defined_names.begin(), rec.defined_names.end());
@@ -286,6 +289,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
         // what scopes the next RunLinked's retraction component.
         if (rec.has_link_names && !st->have_link_names) {
           st->have_link_names = true;
+          st->link_names_changed = true;
           st->defined_names =
               std::set<std::string>(rec.defined_names.begin(), rec.defined_names.end());
           st->extern_refs =
@@ -313,10 +317,12 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     }
   }
 
-  link_table_ = AnnoDb();
-  for (FuncSummary& s : rows) {
-    link_table_.AddSummary(std::move(s));
+  // The link memo is not persisted, and a loaded table starts a new history.
+  for (auto& [name, st] : modules_) {
+    (void)name;
+    st->memo.clear();
   }
+  LoadLinkRows(std::move(rows));
   linked_ever_ = sf.linked;
   link_stats_ = LinkStats{};
   link_stats_.converged = sf.linked && sf.converged;
@@ -326,7 +332,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     // Rebuilds link_conflicts_ and re-derives the corpus stack facts from
     // the loaded rows — idempotent on a converged table (the facts are part
     // of the canonical rows), so a warm RunLinked sees no diff.
-    ComputeLinkStackFacts();
+    ComputeLinkStackFacts(nullptr);
     if (!sf.converged) {
       // The store was written mid-fixpoint (a crash, a killed worker). The
       // table is ≤ the least fixpoint but possibly mixed-round; the one
@@ -480,7 +486,7 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
         failed = true;
         break;
       }
-      LinkTableSnapshot before = SnapshotLinkTable();
+      LinkDelta delta;
       for (const std::string& name : dirty_names) {
         auto rec = merged.modules.find(name);
         if (rec == merged.modules.end() || !rec->second.analyzed) {
@@ -493,7 +499,7 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
           break;
         }
         modules_[name]->analyzed_now = true;
-        link_table_.RetractModule(name);
+        RetractLinkRows(name, &delta);
         for (auto it = merged.summaries.lower_bound({name, std::string()});
              it != merged.summaries.end() && it->first.first == name; ++it) {
           FuncSummary s;
@@ -501,7 +507,10 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
             failed = true;
             break;
           }
-          link_table_.AddSummary(std::move(s));
+          const int64_t stack_below = s.stack_below;
+          const bool cross_recursive = s.cross_recursive;
+          PutLinkRow(std::make_shared<const LinkRow>(std::move(s)), stack_below,
+                     cross_recursive, &delta);
         }
         if (failed) {
           break;
@@ -511,8 +520,8 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
         break;
       }
       link_stats_.module_analyses += static_cast<int>(dirty_names.size());
-      ComputeLinkStackFacts();
-      std::set<std::string> dirty = DiffLinkTable(before, SnapshotLinkTable());
+      ComputeLinkStackFacts(&delta);
+      std::set<std::string> dirty = DirtyModules(delta);
       result = MergeResult(false);
       if (dirty.empty()) {
         link_stats_.converged = true;
@@ -529,9 +538,9 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
 
     // Idle round (warm start, or nothing changed): mirror the in-process
     // round shape — recompute stack facts, diff, converge on no change.
-    LinkTableSnapshot before = SnapshotLinkTable();
-    ComputeLinkStackFacts();
-    std::set<std::string> dirty = DiffLinkTable(before, SnapshotLinkTable());
+    LinkDelta delta;
+    ComputeLinkStackFacts(&delta);
+    std::set<std::string> dirty = DirtyModules(delta);
     result = MergeResult(false);
     if (dirty.empty()) {
       link_stats_.converged = true;
@@ -597,13 +606,16 @@ bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store
     }
     session.AddModule(name, std::move(files));
   }
+  std::vector<FuncSummary> table;
+  table.reserve(round.summaries.size());
   for (const auto& [key, canon] : round.summaries) {
     FuncSummary s;
     if (!ParseSummaryRow(key, canon, &s, err)) {
       return false;
     }
-    session.link_table_.AddSummary(std::move(s));
+    table.push_back(std::move(s));
   }
+  session.LoadLinkRows(std::move(table));
 
   // Plain Run(), not RunLinked: the coordinator owns the fixpoint; a worker
   // contributes exactly one round's worth of analysis. Cold re-analysis is

@@ -17,9 +17,13 @@
 //      the cross-module component of the edit.
 //   4. Convergence: the fixpoint settles without oscillation and reports
 //      its round count.
+//   5. The link memo: memoized relinks — around a cross-module cycle, on a
+//      revert, and over a seeded random edit sequence — equal a cold session
+//      byte for byte while re-analyzing fewer modules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -309,6 +313,281 @@ TEST(SessionLinked, UnlinkedRunStaysIndependent) {
   // The linked run sees strictly more: cross-module facts add findings.
   EXPECT_NE(Dump(unlinked.findings), Dump(converged.findings));
   EXPECT_GT(converged.findings.size(), unlinked.findings.size());
+}
+
+
+// ---------------------------------------------------------------------------
+// The link memo (early cutoff): memoized relinks must be indistinguishable
+// from a cold session over the same sources — findings and the canonical
+// link table byte for byte — while re-analyzing far fewer modules.
+// ---------------------------------------------------------------------------
+
+std::string TableCanon(const AnalysisSession& session) {
+  std::string out;
+  for (const auto& [key, row] : session.link_table().summaries()) {
+    out += row.Canonical();
+    out += '\n';
+  }
+  return out;
+}
+
+// The span of a generated function's definition in a module's text: from
+// the start of the line that names it through its closing brace — what
+// AnalysisSession::ReplaceFunction replaces.
+std::pair<size_t, size_t> DefinitionSpan(const std::string& text, const std::string& fn) {
+  const std::string head = "void " + fn + "(int n)";
+  size_t pos = 0;
+  while ((pos = text.find(head, pos)) != std::string::npos) {
+    const size_t eol = text.find('\n', pos);
+    if ((pos == 0 || text[pos - 1] == '\n') && eol != std::string::npos && text[eol - 1] != ';') {
+      return {pos, text.find("\n}", pos) + 2};
+    }
+    pos += head.size();
+  }
+  ADD_FAILURE() << "no definition of " << fn;
+  return {0, 0};
+}
+
+std::string DefinitionOf(const std::string& text, const std::string& fn) {
+  auto [begin, end] = DefinitionSpan(text, fn);
+  return text.substr(begin, end - begin);
+}
+
+std::string ReplaceDefinition(const std::string& text, const std::string& fn,
+                              std::string def) {
+  auto [begin, end] = DefinitionSpan(text, fn);
+  while (!def.empty() && (def.back() == '\n' || def.back() == ' ')) {
+    def.pop_back();
+  }
+  return text.substr(0, begin) + def + text.substr(end);
+}
+
+// A store file under the test temp dir, removed on both ends.
+class TempStore {
+ public:
+  explicit TempStore(const std::string& name)
+      : path_(::testing::TempDir() + "ivy_session_linked_" + name + ".store") {
+    Scrub();
+  }
+  ~TempStore() { Scrub(); }
+  const std::string& get() const { return path_; }
+
+ private:
+  void Scrub() {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".lock").c_str());
+  }
+  std::string path_;
+};
+
+// Links a fresh session over `corpus` and checks `session` (just relinked,
+// with `result`) against it. Returns the cold session's module analyses.
+int ExpectMatchesCold(const AnalysisSession& session, const SessionResult& result,
+                      const std::vector<ModuleSources>& corpus, const std::string& step) {
+  AnalysisSession cold = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  SessionResult cold_result = cold.RunLinked();
+  EXPECT_TRUE(cold.link_stats().converged) << step;
+  EXPECT_TRUE(session.link_stats().converged) << step;
+  EXPECT_EQ(Dump(result.findings), Dump(cold_result.findings)) << step;
+  EXPECT_EQ(TableCanon(session), TableCanon(cold)) << step;
+  // The budget is unreachable, so StackCheck's imported stack facts show in
+  // its depth maps, not in findings: compare those too.
+  EXPECT_EQ(result.modules.size(), cold_result.modules.size()) << step;
+  for (size_t i = 0; i < result.modules.size() && i < cold_result.modules.size(); ++i) {
+    const ToolResult* got = result.modules[i].result.ResultFor("stackcheck");
+    const ToolResult* want = cold_result.modules[i].result.ResultFor("stackcheck");
+    if (got == nullptr || want == nullptr) {
+      EXPECT_EQ(got, want) << step;
+      continue;
+    }
+    EXPECT_EQ(got->DetailAs<StackCheckReport>()->entry_depths,
+              want->DetailAs<StackCheckReport>()->entry_depths)
+        << step << " " << result.modules[i].module;
+  }
+  return cold.link_stats().module_analyses;
+}
+
+TEST(SessionLinkedMemo, RetractionStaysExactAroundACycle) {
+  // a_cyc -> b_cyc_back -> a_cyc across two modules; the only blocking call
+  // on the cycle is a_leaf's. Both cycle rows may block, so both spinlocked
+  // entries are BlockStop errors.
+  const std::string mod_a =
+      "int a_lk;\n"
+      "void b_cyc_back(int n);\n"
+      "void a_leaf(int n) {\n  msleep(n);\n}\n"
+      "void a_cyc(int n) {\n  if (n > 0) { b_cyc_back(n - 1); }\n  a_leaf(n);\n}\n"
+      "void a_entry(int n) {\n  spin_lock(&a_lk);\n  a_cyc(n);\n  spin_unlock(&a_lk);\n}\n";
+  const std::string mod_b =
+      "int b_lk;\n"
+      "void a_cyc(int n);\n"
+      "void b_cyc_back(int n) {\n  if (n > 0) { a_cyc(n - 1); }\n}\n"
+      "void b_entry(int n) {\n  spin_lock(&b_lk);\n  b_cyc_back(n);\n  spin_unlock(&b_lk);\n}\n";
+  std::vector<ModuleSources> corpus = {{"mod_a", {SourceFile{"mod_a.mc", mod_a}}},
+                                       {"mod_b", {SourceFile{"mod_b.mc", mod_b}}}};
+  AnalysisSession session = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  SessionResult before = session.RunLinked();
+  ASSERT_TRUE(session.link_stats().converged);
+  const AnnoDb& table = session.link_table();
+  ASSERT_NE(table.summaries().count({"mod_a", "a_cyc"}), 0u);
+  ASSERT_NE(table.summaries().count({"mod_b", "b_cyc_back"}), 0u);
+  EXPECT_TRUE(table.summaries().at({"mod_a", "a_cyc"}).may_block);
+  EXPECT_TRUE(table.summaries().at({"mod_b", "b_cyc_back"}).may_block);
+  EXPECT_TRUE(table.summaries().at({"mod_b", "b_cyc_back"}).cross_recursive);
+  EXPECT_GE(before.ErrorCount(), 2);
+
+  // Edit the leaf away. A monotone relink seeded with the old rows would
+  // keep "may block" alive around the cycle; the memoized replay must not.
+  const std::string leaf = "void a_leaf(int n) {\n  udelay(n);\n}\n";
+  ASSERT_TRUE(session.ReplaceFunction("mod_a", "a_leaf", leaf));
+  SessionResult after = session.RunLinked();
+  EXPECT_GT(session.link_stats().memo_hits, 0);
+  EXPECT_FALSE(table.summaries().at({"mod_a", "a_cyc"}).may_block);
+  EXPECT_FALSE(table.summaries().at({"mod_b", "b_cyc_back"}).may_block);
+  corpus[0].files[0].text = ReplaceDefinition(mod_a, "a_leaf", leaf);
+  ExpectMatchesCold(session, after, corpus, "leaf edited away");
+  EXPECT_EQ(after.ErrorCount(), 0);
+}
+
+TEST(SessionLinkedMemo, RevertReplaysFromTheMemo) {
+  LinkedCorpusOptions opt;
+  opt.modules = 4;
+  opt.functions = 24;
+  opt.seed = 13;
+  std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
+  AnalysisSession session = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  SessionResult original = session.RunLinked();
+  ASSERT_TRUE(session.link_stats().converged);
+  const int cold_analyses = session.link_stats().module_analyses;
+  const std::string original_findings = Dump(original.findings);
+  const std::string original_table = TableCanon(session);
+
+  // A -> B: a mid-chain function of mod_01 becomes a blocking leaf.
+  const std::string fn = SynthFuncName(LinkedModulePrefix(1), 7);
+  const std::string& text = corpus[1].files[0].text;
+  const std::string original_def = DefinitionOf(text, fn);
+  const std::string b_def = "void " + fn + "(int n) {\n  int pad[8]; pad[0] = n;\n  msleep(n);\n}\n";
+  ASSERT_TRUE(session.ReplaceFunction("mod_01", fn, b_def));
+  SessionResult edited = session.RunLinked();
+  std::vector<ModuleSources> b_corpus = corpus;
+  b_corpus[1].files[0].text = ReplaceDefinition(text, fn, b_def);
+  ExpectMatchesCold(session, edited, b_corpus, "A -> B");
+  EXPECT_GT(session.link_stats().memo_hits, 0);
+
+  // B -> A: the original sources, so the original cold bytes.
+  ASSERT_TRUE(session.ReplaceFunction("mod_01", fn, original_def));
+  SessionResult reverted = session.RunLinked();
+  ASSERT_TRUE(session.link_stats().converged);
+  EXPECT_GT(session.link_stats().memo_hits, 0);
+  EXPECT_LT(session.link_stats().module_analyses, cold_analyses);
+  EXPECT_EQ(Dump(reverted.findings), original_findings);
+  EXPECT_EQ(TableCanon(session), original_table);
+}
+
+TEST(SessionLinkedMemo, RandomEditSequenceMatchesColdAfterEveryRelink) {
+  LinkedCorpusOptions opt;
+  opt.modules = 4;
+  opt.functions = 24;
+  opt.seed = 29;
+  const std::vector<ModuleSources> original = GenerateLinkedCorpus(opt);
+  std::vector<ModuleSources> corpus = original;  // the sources as edited so far
+  AnalysisSession session = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  session.RunLinked();
+  ASSERT_TRUE(session.link_stats().converged);
+  TempStore store("memo_random_edits");
+
+  Rng rng(0x5eed);
+  int memo_hits = 0;
+  int analyses = 0;
+  int cold_analyses = 0;
+  std::vector<ModuleSources> removed;  // modules taken out, to add back later
+  auto module_at = [&corpus](const std::string& name) -> ModuleSources& {
+    for (ModuleSources& m : corpus) {
+      if (m.name == name) {
+        return m;
+      }
+    }
+    ADD_FAILURE() << name;
+    return corpus.front();
+  };
+  // Applies one function edit to the session and to the mirror.
+  auto edit = [&](const std::string& mod, const std::string& fn, const std::string& def) {
+    ASSERT_TRUE(session.ReplaceFunction(mod, fn, def)) << mod << "/" << fn;
+    std::string& text = module_at(mod).files[0].text;
+    text = ReplaceDefinition(text, fn, def);
+  };
+  // Fact-changing edits weigh the most: they are what moves the fixpoint.
+  enum Kind { kFact, kPadding, kFrame, kRevert, kModule, kStore };
+  const Kind kinds[] = {kFact, kFact, kFact, kPadding, kPadding, kFrame, kRevert, kModule, kStore};
+  for (int step = 0; step < 30; ++step) {
+    const ModuleSources& target = corpus[rng.Below(corpus.size())];
+    const std::string mod = target.name;
+    const std::string px = "m" + mod.substr(4) + "_";
+    const std::string fn = SynthFuncName(px, static_cast<int>(rng.Below(opt.functions)));
+    const Kind kind = kinds[rng.Below(sizeof(kinds) / sizeof(kinds[0]))];
+    std::string what;
+    if (kind == kFact) {
+      what = "fact";
+      edit(mod, fn, "void " + fn + "(int n) {\n  int pad[8]; pad[0] = n;\n  " +
+                        (rng.Chance(1, 2) ? "msleep(n)" : "udelay(1)") + ";\n}\n");
+    } else if (kind == kPadding) {
+      what = "padding";
+      std::string def = DefinitionOf(target.files[0].text, fn);
+      const size_t at = def.find("pad[0] = n");
+      ASSERT_NE(at, std::string::npos) << def;
+      def.replace(at, 10, "pad[0] = n + " + std::to_string(step));
+      edit(mod, fn, def);
+    } else if (kind == kFrame) {
+      what = "frame";
+      edit(mod, fn, "void " + fn + "(int n) {\n  int pad[" + std::to_string(4 + step) +
+                        "]; pad[0] = n;\n}\n");
+    } else if (kind == kRevert) {
+      what = "revert";
+      for (const ModuleSources& m : original) {
+        if (m.name == mod) {
+          ASSERT_TRUE(session.ReplaceModuleSources(mod, m.files));
+          module_at(mod).files = m.files;
+        }
+      }
+    } else if (kind == kModule) {
+      if (removed.empty() && corpus.size() > 2) {
+        what = "remove";
+        ASSERT_TRUE(session.RemoveModule(mod));
+        for (size_t i = 0; i < corpus.size(); ++i) {
+          if (corpus[i].name == mod) {
+            removed.push_back(corpus[i]);
+            corpus.erase(corpus.begin() + static_cast<std::ptrdiff_t>(i));
+            break;
+          }
+        }
+      } else if (!removed.empty()) {
+        what = "add";
+        session.AddModule(removed.back());
+        corpus.push_back(removed.back());
+        std::sort(corpus.begin(), corpus.end(),
+                  [](const ModuleSources& a, const ModuleSources& b) { return a.name < b.name; });
+        removed.pop_back();
+      } else {
+        continue;
+      }
+    } else {
+      what = "store+fact";
+      std::string err;
+      ASSERT_TRUE(session.SaveStore(store.get(), &err)) << err;
+      ASSERT_TRUE(session.LoadStore(store.get(), &err)) << err;
+      edit(mod, fn, "void " + fn + "(int n) {\n  int pad[8]; pad[0] = n;\n  msleep(n);\n}\n");
+    }
+    SessionResult result = session.RunLinked();
+    memo_hits += session.link_stats().memo_hits;
+    analyses += session.link_stats().module_analyses;
+    cold_analyses += ExpectMatchesCold(session, result, corpus,
+                                       "step " + std::to_string(step) + " (" + what + " " +
+                                           mod + "/" + fn + ")");
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(memo_hits, 0);
+  EXPECT_LT(analyses, cold_analyses);
 }
 
 }  // namespace

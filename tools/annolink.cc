@@ -227,10 +227,10 @@ int main(int argc, char** argv) {
 
   const ivy::LinkStats& ls = session.link_stats();
   std::fprintf(stderr,
-               "annolink: rounds=%d module_analyses=%d summary_rows=%d "
-               "cross_edges=%d converged=%d\n",
-               ls.rounds, ls.module_analyses, ls.summary_rows, ls.cross_edges,
-               ls.converged ? 1 : 0);
+               "annolink: rounds=%d module_analyses=%d memo_hits=%d findings_rebuilds=%d "
+               "summary_rows=%d cross_edges=%d converged=%d\n",
+               ls.rounds, ls.module_analyses, ls.memo_hits, ls.findings_rebuilds,
+               ls.summary_rows, ls.cross_edges, ls.converged ? 1 : 0);
   PrintResult(session, result);
   if (!trace_out.empty()) {
     std::string terr;
