@@ -148,7 +148,7 @@ void BlockStop::ComputeMayBlock() {
   }
 }
 
-void BlockStop::ComputeMayBlockSharded(const FunctionSharder& sharder, WorkQueue& wq) {
+void BlockStop::ComputeMayBlockSharded(const FunctionSharder& sharder, WorkQueue* wq) {
   const std::vector<const FuncDecl*>& funcs = sharder.functions();
   const size_t n = funcs.size();
   std::vector<size_t> candidates;
@@ -483,7 +483,7 @@ BlockStopReport BlockStop::Run() {
   return report;
 }
 
-BlockStopReport BlockStop::Run(const FunctionSharder& sharder, WorkQueue& wq) {
+BlockStopReport BlockStop::Run(const FunctionSharder& sharder, WorkQueue* wq) {
   mayblock_.clear();
   witness_.clear();
   ComputeMayBlockSharded(sharder, wq);

@@ -17,16 +17,15 @@
 //      report disappears purely due to that filter are the "false positives
 //      silenced by run-time checks" of the paper (15 in their kernel).
 //
-// Two execution strategies produce byte-identical reports:
-//   - Run(): the serial reference — Gauss-Seidel rescan rounds over every
-//     defined function.
-//   - Run(sharder, wq): the sharded kernels — may-block propagates along a
-//     caller worklist (CallGraph::CallersOf) in parallel Jacobi rounds, and
-//     the context fixpoint becomes a parallel BFS that evaluates each
-//     (function, entry-state) pair exactly once. Both fixpoints are
-//     monotone, so they converge to the same sets as the serial loop;
-//     witnesses are assigned from the *final* may-block set and every
-//     violation list is sorted by a total order, so the bytes match too.
+// The production kernel is Run(sharder, wq), at every shard count:
+// may-block propagates along a caller worklist (CallGraph::CallersOf) in
+// Jacobi rounds, and the context fixpoint is a BFS that evaluates each
+// (function, entry-state) pair exactly once. Run() — Gauss-Seidel rescan
+// rounds over every defined function — is the serial reference that
+// shard_determinism_test compares against; no pass calls it. Both fixpoints
+// are monotone, so the two converge to the same sets; witnesses are assigned
+// from the *final* may-block set and every violation list is sorted by a
+// total order, so the bytes match too.
 #ifndef SRC_BLOCKSTOP_BLOCKSTOP_H_
 #define SRC_BLOCKSTOP_BLOCKSTOP_H_
 
@@ -88,12 +87,13 @@ class BlockStop {
  public:
   BlockStop(const Program* prog, const Sema* sema, const CallGraph* cg);
 
-  // Serial reference implementation.
+  // Serial reference implementation (the test oracle).
   BlockStopReport Run();
 
-  // Sharded kernels over `sharder` (which must partition this call graph's
-  // DefinedFuncs()) driven by `wq`. Byte-identical findings to Run().
-  BlockStopReport Run(const FunctionSharder& sharder, WorkQueue& wq);
+  // The production kernel over `sharder` (which must partition this call
+  // graph's DefinedFuncs()) driven by `wq`, which may be null for a
+  // one-shard sharder. Byte-identical findings to Run().
+  BlockStopReport Run(const FunctionSharder& sharder, WorkQueue* wq);
 
   // Incremental may-block memoization (AnalysisSession). `clean` holds the
   // defined-function names with no call path into the edited region;
@@ -142,7 +142,7 @@ class BlockStop {
   // so wording changes cannot split the byte-identical contract.
   std::string WitnessOf(const FuncDecl* fn) const;
   void ComputeMayBlock();                                              // serial
-  void ComputeMayBlockSharded(const FunctionSharder& s, WorkQueue& wq);  // worklist
+  void ComputeMayBlockSharded(const FunctionSharder& s, WorkQueue* wq);  // worklist
   // Witnesses derived from the *final* may-block set: first cause in site
   // order. Strategy-independent by construction.
   void AssignWitnesses();

@@ -157,7 +157,7 @@ ErrCheckReport ErrCheck::Run() {
   return report;
 }
 
-ErrCheckReport ErrCheck::Run(const FunctionSharder& sharder, WorkQueue& wq) {
+ErrCheckReport ErrCheck::Run(const FunctionSharder& sharder, WorkQueue* wq) {
   ErrCheckReport report;
   const std::vector<const FuncDecl*>& funcs = sharder.functions();
 

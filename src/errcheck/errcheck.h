@@ -58,14 +58,16 @@ class ErrCheck {
  public:
   ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg);
 
+  // Serial reference implementation (the test oracle).
   ErrCheckReport Run();
 
-  // Sharded kernels over `sharder` (which must partition this call graph's
-  // DefinedFuncs()) driven by `wq`. Two barriered phases — classify
+  // The production kernel over `sharder` (which must partition this call
+  // graph's DefinedFuncs()) driven by `wq`, which may be null for a
+  // one-shard sharder. Two barriered phases — classify
   // error-returning functions, then scan call sites against the frozen set —
   // each pure per function and reduced in shard order, so findings are
   // byte-identical to Run().
-  ErrCheckReport Run(const FunctionSharder& sharder, WorkQueue& wq);
+  ErrCheckReport Run(const FunctionSharder& sharder, WorkQueue* wq);
 
  private:
   // Extern-declared functions whose defining module exported an

@@ -200,7 +200,7 @@ LockSafeReport LockSafe::Run() {
   return BuildReport(all);
 }
 
-LockSafeReport LockSafe::Run(const FunctionSharder& sharder, WorkQueue& wq) {
+LockSafeReport LockSafe::Run(const FunctionSharder& sharder, WorkQueue* wq) {
   ComputeIrqReachable();
   const std::vector<const FuncDecl*>& funcs = sharder.functions();
   // Per-shard collectors (each deduplicates its own range first-seen), then

@@ -64,14 +64,16 @@ class LockSafe {
  public:
   LockSafe(const Program* prog, const Sema* sema, const CallGraph* cg);
 
+  // Serial reference implementation (the test oracle).
   LockSafeReport Run();
 
-  // Sharded kernels over `sharder` (which must partition this call graph's
-  // DefinedFuncs()) driven by `wq`. The per-function lock walks are pure
+  // The production kernel over `sharder` (which must partition this call
+  // graph's DefinedFuncs()) driven by `wq`, which may be null for a
+  // one-shard sharder. The per-function lock walks are pure
   // (each collects edges and context bits privately); merging the per-shard
   // collections in shard order reproduces the serial first-occurrence edge
   // order, so findings are byte-identical to Run().
-  LockSafeReport Run(const FunctionSharder& sharder, WorkQueue& wq);
+  LockSafeReport Run(const FunctionSharder& sharder, WorkQueue* wq);
 
   // Validates the runtime-observed lock behaviour of a finished VM run
   // against the same two properties. Lock addresses are rendered through the

@@ -134,8 +134,8 @@ std::string TypeToString(const Type* t) {
 }
 
 Expr* Program::NewExpr(ExprKind kind, SourceLoc loc) {
-  uint32_t id = arena_->exprs.size();
-  Expr* e = arena_->exprs.New();
+  uint32_t id = arena_.exprs.size();
+  Expr* e = arena_.exprs.New();
   e->kind = kind;
   e->loc = loc;
   e->id = id;
@@ -143,8 +143,8 @@ Expr* Program::NewExpr(ExprKind kind, SourceLoc loc) {
 }
 
 Stmt* Program::NewStmt(StmtKind kind, SourceLoc loc) {
-  uint32_t id = arena_->stmts.size();
-  Stmt* s = arena_->stmts.New();
+  uint32_t id = arena_.stmts.size();
+  Stmt* s = arena_.stmts.New();
   s->kind = kind;
   s->loc = loc;
   s->id = id;
@@ -158,8 +158,8 @@ Type* Program::NewType(TypeKind kind) {
 }
 
 VarDecl* Program::NewVarDecl() {
-  uint32_t id = arena_->decls.size();
-  VarDecl* d = arena_->decls.New();
+  uint32_t id = arena_.decls.size();
+  VarDecl* d = arena_.decls.New();
   d->id = id;
   return d;
 }
@@ -173,7 +173,7 @@ ExprList Program::MakeExprList(const std::vector<Expr*>& v) {
   list.count = static_cast<uint32_t>(v.size());
   if (!v.empty()) {
     list.items = static_cast<Expr**>(
-        arena_->bytes.Alloc(v.size() * sizeof(Expr*), alignof(Expr*)));
+        arena_.bytes.Alloc(v.size() * sizeof(Expr*), alignof(Expr*)));
     std::memcpy(list.items, v.data(), v.size() * sizeof(Expr*));
   }
   return list;
@@ -184,15 +184,15 @@ StmtList Program::MakeStmtList(const std::vector<Stmt*>& v) {
   list.count = static_cast<uint32_t>(v.size());
   if (!v.empty()) {
     list.items = static_cast<Stmt**>(
-        arena_->bytes.Alloc(v.size() * sizeof(Stmt*), alignof(Stmt*)));
+        arena_.bytes.Alloc(v.size() * sizeof(Stmt*), alignof(Stmt*)));
     std::memcpy(list.items, v.data(), v.size() * sizeof(Stmt*));
   }
   return list;
 }
 
 void Program::MarkExprsNoRefs(uint32_t begin) {
-  for (uint32_t i = begin; i < arena_->exprs.size(); ++i) {
-    arena_->exprs.At(i)->no_refs = true;
+  for (uint32_t i = begin; i < arena_.exprs.size(); ++i) {
+    arena_.exprs.At(i)->no_refs = true;
   }
 }
 

@@ -208,7 +208,7 @@ StackCheckReport StackCheck::Run(const std::vector<std::string>& entries) {
 }
 
 StackCheckReport StackCheck::Run(const std::vector<std::string>& entries,
-                                 const FunctionSharder& sharder, WorkQueue& wq) {
+                                 const FunctionSharder& sharder, WorkQueue* wq) {
   Prepare();
   std::vector<const FuncDecl*> roots = ResolveRoots(entries);
   std::vector<int64_t> depths(roots.size(), 0);

@@ -60,13 +60,15 @@ class StackCheck {
 
   // Analyzes the given entry points (default: every defined function is a
   // potential kernel entry; syscalls and IRQ handlers are reported first).
+  // Serial reference implementation (the test oracle).
   StackCheckReport Run(const std::vector<std::string>& entries);
 
-  // Sharded depth search: entry points are partitioned by `sharder` and
-  // solved in parallel on `wq`, each shard with a private memo over the
-  // condensation DAG. Byte-identical report to the serial Run().
+  // The production depth search: entry points are partitioned by `sharder`
+  // and solved on `wq` (null for a one-shard sharder), each shard with a
+  // private memo over the condensation DAG. Byte-identical report to the
+  // serial Run().
   StackCheckReport Run(const std::vector<std::string>& entries,
-                       const FunctionSharder& sharder, WorkQueue& wq);
+                       const FunctionSharder& sharder, WorkQueue* wq);
 
  private:
   // Builds the SCC condensation (idempotent; called by both Run flavors).

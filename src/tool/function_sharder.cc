@@ -45,15 +45,20 @@ std::vector<std::pair<size_t, size_t>> FunctionSharder::Partition(size_t n_items
 }
 
 void FunctionSharder::ParallelChunks(
-    WorkQueue& wq, size_t n_items,
+    WorkQueue* wq, size_t n_items,
     const std::function<void(int, size_t, size_t)>& kernel) const {
   RunChunks(wq, Partition(n_items), kernel);
 }
 
-void FunctionSharder::RunChunks(WorkQueue& wq,
+void FunctionSharder::RunChunks(WorkQueue* wq,
                                 const std::vector<std::pair<size_t, size_t>>& ranges,
                                 const std::function<void(int, size_t, size_t)>& kernel) const {
-  if (ranges.empty()) {
+  if (wq == nullptr || ranges.size() <= 1) {
+    // No queue to hand chunks to, or at most one chunk: a plain loop on the
+    // calling thread, which throws at the lowest failing chunk by itself.
+    for (size_t c = 0; c < ranges.size(); ++c) {
+      kernel(static_cast<int>(c), ranges[c].first, ranges[c].second);
+    }
     return;
   }
   // Chunks 1..k-1 run through a TaskGroup (scoped to this round, so several
@@ -65,7 +70,7 @@ void FunctionSharder::RunChunks(WorkQueue& wq,
   // "sharder.queue_wait_us" plus a "shard.chunk" span for the kernel run.
   // The chunk index rides in the span args, so a Perfetto view shows which
   // shard sat behind which.
-  TaskGroup group(wq);
+  TaskGroup group(*wq);
   const bool traced = trace::Enabled();
   for (size_t c = 1; c < ranges.size(); ++c) {
     const uint64_t submit_ns = traced ? MonotonicNowNs() : 0;
@@ -86,13 +91,11 @@ void FunctionSharder::RunChunks(WorkQueue& wq,
   } catch (...) {
     inline_err = std::current_exception();
   }
-  if (ranges.size() > 1) {
-    try {
-      group.Wait();
-    } catch (...) {
-      if (!inline_err) {
-        throw;
-      }
+  try {
+    group.Wait();
+  } catch (...) {
+    if (!inline_err) {
+      throw;
     }
   }
   if (inline_err) {

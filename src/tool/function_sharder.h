@@ -2,7 +2,9 @@
 // saturates all cores" item). A FunctionSharder partitions an ordered
 // function list — canonically CallGraph::DefinedFuncs(), which is in
 // declaration order — into contiguous shards and drives per-function kernels
-// over a WorkQueue.
+// over a WorkQueue. A one-shard sharder needs no queue: its only chunk runs
+// on the calling thread, so the passes' default (shards == 1) spawns no
+// threads at all.
 //
 // Determinism contract (what makes sharded output bit-identical to serial):
 //   1. Shards are contiguous index ranges of the declaration order, so shard
@@ -17,7 +19,8 @@
 //      barrier). Monotone kernels converge to the same least fixpoint as
 //      the serial Gauss-Seidel loop.
 // A kernel that follows 1-4 produces the same bytes under shards=1,
-// shards=8, and the serial reference implementation.
+// shards=8, and the serial reference implementation (BlockStop::Run() and
+// friends, kept only as the oracle shard_determinism_test compares against).
 #ifndef SRC_TOOL_FUNCTION_SHARDER_H_
 #define SRC_TOOL_FUNCTION_SHARDER_H_
 
@@ -41,7 +44,8 @@ class FunctionSharder {
   int shard_count() const { return shard_count_; }
   // Pool size matching the help-first execution model: the caller runs
   // chunk 0 itself, so k shards need only k-1 workers (min 1). Use this for
-  // the WorkQueue a kernel will drive through ParallelChunks/MapChunks.
+  // the WorkQueue a kernel will drive through ParallelChunks/MapChunks when
+  // shard_count() > 1; a one-shard kernel takes no queue at all.
   int worker_count() const { return shard_count_ > 1 ? shard_count_ - 1 : 1; }
   size_t size() const { return funcs_.size(); }
   const std::vector<const FuncDecl*>& functions() const { return funcs_; }
@@ -57,8 +61,10 @@ class FunctionSharder {
 
   // Runs kernel(chunk_index, begin, end) for every chunk of [0, n_items) on
   // `wq` and waits for all of them (the barrier). Kernel exceptions
-  // propagate out of the barrier, lowest chunk index first.
-  void ParallelChunks(WorkQueue& wq, size_t n_items,
+  // propagate out of the barrier, lowest chunk index first. `wq` may be null
+  // when shard_count() == 1 (the only chunk runs on the calling thread); a
+  // null queue with more shards runs every chunk there, in chunk order.
+  void ParallelChunks(WorkQueue* wq, size_t n_items,
                       const std::function<void(int, size_t, size_t)>& kernel) const;
 
   // ParallelChunks with a deterministic reduction: each chunk produces a
@@ -72,7 +78,7 @@ class FunctionSharder {
   // handshakes — fixpoints with many tiny rounds stay cheap.
   template <typename R>
   std::vector<std::vector<R>> MapChunks(
-      WorkQueue& wq, size_t n_items,
+      WorkQueue* wq, size_t n_items,
       const std::function<std::vector<R>(int, size_t, size_t)>& kernel) const {
     std::vector<std::pair<size_t, size_t>> ranges = Partition(n_items);
     std::vector<std::vector<R>> out(ranges.size());
@@ -87,7 +93,7 @@ class FunctionSharder {
   // calling thread, then the barrier. If both the inline chunk and a queued
   // chunk throw, chunk 0's exception wins (lowest index — the same "what a
   // serial loop would have hit first" rule WorkQueue::Wait applies).
-  void RunChunks(WorkQueue& wq, const std::vector<std::pair<size_t, size_t>>& ranges,
+  void RunChunks(WorkQueue* wq, const std::vector<std::pair<size_t, size_t>>& ranges,
                  const std::function<void(int, size_t, size_t)>& kernel) const;
 
   std::vector<const FuncDecl*> funcs_;

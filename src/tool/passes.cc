@@ -31,24 +31,30 @@
 namespace ivy {
 namespace {
 
-// The "shards" option (injected pipeline-wide by PipelineBuilder::
-// ShardFunctions, overridable per tool): 1 = serial reference kernels,
-// 0 = hardware concurrency, n = that many shards. Findings are byte-
-// identical for every value; only wall-clock changes.
-int ShardsFromOptions(const ToolOptions& options) {
+// The function sharder every fixpoint pass runs its kernel through. The
+// "shards" option (injected pipeline-wide by PipelineBuilder::
+// ShardFunctions, overridable per tool) sets only the shard count: 1 (the
+// default) runs the one chunk on the calling thread, 0 = hardware
+// concurrency, n = that many shards. Findings are byte-identical for every
+// value; only wall-clock changes.
+FunctionSharder ShardFor(const CallGraph& cg, const ToolOptions& options) {
   int64_t shards = options.GetInt("shards", 1);
-  return shards < 0 ? 1 : static_cast<int>(shards);
+  return FunctionSharder(cg.DefinedFuncs(), shards < 0 ? 1 : static_cast<int>(shards));
 }
 
-// The worker pool for a sharded kernel: the shared one a pipeline run or
-// session attached to the context (TaskGroup keeps concurrent passes
-// isolated on it), else a pass-local pool as before.
+// The worker pool for a sharded kernel: none for one shard (the kernel runs
+// inline), else the shared one a pipeline run or session attached to the
+// context (TaskGroup keeps concurrent passes isolated on it), else — a
+// per-tool "shards" above the pipeline's — a pass-local pool.
 struct PoolRef {
   WorkQueue* pool = nullptr;
   std::unique_ptr<WorkQueue> owned;
 };
 PoolRef PoolFor(AnalysisContext& ctx, const FunctionSharder& sharder) {
   PoolRef r;
+  if (sharder.shard_count() == 1) {
+    return r;
+  }
   r.pool = ctx.pool();
   if (r.pool == nullptr) {
     r.owned = std::make_unique<WorkQueue>(sharder.worker_count());
@@ -165,18 +171,11 @@ class BlockStopPass : public ToolPass {
     if (hints != nullptr && hints->has_blockstop_seed) {
       bs.SeedMayBlock(&hints->blockstop_clean, &hints->blockstop_prev_mayblock);
     }
-    int shards = ShardsFromOptions(options());
-    BlockStopReport report;
-    if (shards == 1) {
-      report = bs.Run();
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = bs.Run(sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    FunctionSharder sharder = ShardFor(cg, options());
+    PoolRef pool = PoolFor(ctx, sharder);
+    BlockStopReport report = bs.Run(sharder, pool.pool);
     ToolResult r(name());
-    r.SetMetric("shards", shards);
+    r.SetMetric("shards", sharder.shard_count());
     for (Finding& f : report.ToFindings()) {
       r.AddFinding(std::move(f));
     }
@@ -188,9 +187,8 @@ class BlockStopPass : public ToolPass {
     r.SetMetric("violations", static_cast<int64_t>(report.violations.size()));
     r.SetMetric("silenced", static_cast<int64_t>(report.silenced.size()));
     r.SetMetric("runtime_checks", report.runtime_checks);
-    // Strategy-dependent observability (rounds differ between the serial
-    // rescan loop and the sharded BFS, evals shrink under an incremental
-    // seed); findings never depend on either.
+    // Solver observability (rounds of the context BFS, evals that shrink
+    // under an incremental seed); findings never depend on either.
     r.SetMetric("context_rounds", report.context_rounds);
     r.SetMetric("mayblock_evals", report.mayblock_evals);
     r.set_summary(report.ToString());
@@ -214,18 +212,11 @@ class LockSafePass : public ToolPass {
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
     LockSafe ls(&ctx.prog(), &ctx.sema(), &cg);
-    int shards = ShardsFromOptions(options());
-    LockSafeReport report;
-    if (shards == 1) {
-      report = ls.Run();
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = ls.Run(sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    FunctionSharder sharder = ShardFor(cg, options());
+    PoolRef pool = PoolFor(ctx, sharder);
+    LockSafeReport report = ls.Run(sharder, pool.pool);
     ToolResult r(name());
-    r.SetMetric("shards", shards);
+    r.SetMetric("shards", sharder.shard_count());
     for (Finding& f : report.ToFindings("static")) {
       r.AddFinding(std::move(f));
     }
@@ -282,18 +273,11 @@ class StackCheckPass : public ToolPass {
       }
     }
     StackCheck sc(&cg, &ctx.module(), budget);
-    int shards = ShardsFromOptions(options());
-    StackCheckReport report;
-    if (shards == 1) {
-      report = sc.Run(entries);
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = sc.Run(entries, sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    FunctionSharder sharder = ShardFor(cg, options());
+    PoolRef pool = PoolFor(ctx, sharder);
+    StackCheckReport report = sc.Run(entries, sharder, pool.pool);
     ToolResult r(name());
-    r.SetMetric("shards", shards);
+    r.SetMetric("shards", sharder.shard_count());
     for (Finding& f : report.ToFindings()) {
       r.AddFinding(std::move(f));
     }
@@ -322,18 +306,11 @@ class ErrCheckPass : public ToolPass {
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
     ErrCheck ec(&ctx.prog(), &ctx.sema(), &cg);
-    int shards = ShardsFromOptions(options());
-    ErrCheckReport report;
-    if (shards == 1) {
-      report = ec.Run();
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = ec.Run(sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    FunctionSharder sharder = ShardFor(cg, options());
+    PoolRef pool = PoolFor(ctx, sharder);
+    ErrCheckReport report = ec.Run(sharder, pool.pool);
     ToolResult r(name());
-    r.SetMetric("shards", shards);
+    r.SetMetric("shards", sharder.shard_count());
     for (Finding& f : report.ToFindings()) {
       r.AddFinding(std::move(f));
     }

@@ -99,9 +99,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
   auto comp = std::make_unique<Compilation>();
   comp->config = config_;
   comp->diags = std::make_unique<DiagEngine>(&comp->sm);
-  if (config_.heap_ast) {
-    comp->prog.SetAllocMode(AstAllocMode::kHeap);
-  } else if (cache != nullptr && cache->prelude_interns != nullptr) {
+  if (cache != nullptr && cache->prelude_interns != nullptr) {
     // Later corpus module: pre-load the prelude's interned strings so every
     // module shares one copy of the bytes (and the same string ids).
     comp->prog.SeedInterner(cache->prelude_interns);
@@ -131,7 +129,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
       // Borrowed, not copied: the cached stream outlives the parser.
       Parser parser(&comp->prog, cache->prelude_tokens.get(), comp->diags.get());
       parser.ParseTranslationUnit();
-      if (cache->prelude_interns == nullptr && !config_.heap_ast) {
+      if (cache->prelude_interns == nullptr) {
         // First corpus module: everything interned so far is prelude text.
         cache->prelude_interns = comp->prog.interner().Snapshot();
       }
@@ -329,7 +327,7 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
 
   // One worker pool for every sharded pass in this run (TaskGroup keeps
   // their waits isolated) — unless a session already attached a longer-lived
-  // one. Sized for the help-first model: k shards need k-1 workers. The
+  // one, or there is one shard and the kernels run inline. Sized for the help-first model: k shards need k-1 workers. The
   // guard detaches on every exit path: a throwing pass must not leave the
   // context pointing at a pool that dies with this frame.
   struct RunPool {
@@ -553,11 +551,6 @@ PipelineBuilder& PipelineBuilder::RcWidthBits(int bits) {
 
 PipelineBuilder& PipelineBuilder::IncludePrelude(bool on) {
   pipeline_.config_.include_prelude = on;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::HeapAst(bool on) {
-  pipeline_.config_.heap_ast = on;
   return *this;
 }
 

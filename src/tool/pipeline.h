@@ -53,7 +53,7 @@ struct FrontendCache {
   int64_t prelude_reuses = 0;
   // Interned prelude strings, snapshotted after the first module's prelude
   // parse and seeded into every later module's interner (same ids, one copy
-  // of the bytes). Arena mode only — heap-mode interners don't deduplicate.
+  // of the bytes).
   std::shared_ptr<const InternSnapshot> prelude_interns;
   int64_t intern_seeds = 0;
 };
@@ -150,13 +150,14 @@ class PipelineBuilder {
   PipelineBuilder& Parallel(bool on);
   PipelineBuilder& FieldSensitive(bool on);
 
-  // Per-function sharding inside the passes that support it (blockstop,
-  // stackcheck): split the intra-pass fixpoints over `n` shards driven by a
-  // work queue. `n == 0` means hardware concurrency, `n == 1` (the default)
-  // keeps the serial reference kernels. Findings are byte-identical for any
-  // value — the sharding layer merges in function-declaration order. Reaches
-  // the passes as the "shards" ToolOptions key; a per-tool option set
-  // explicitly via Tool(name, opts) wins over this pipeline-wide value.
+  // Per-function sharding inside the four fixpoint passes (blockstop,
+  // locksafe, stackcheck, errcheck), which always run their sharded kernel:
+  // `n` sets only the shard count. `n == 1` (the default) runs each kernel's
+  // one chunk on the calling thread with no worker pool, `n == 0` means
+  // hardware concurrency. Findings are byte-identical for any value — the
+  // sharding layer merges in function-declaration order. Reaches the passes
+  // as the "shards" ToolOptions key; a per-tool option set explicitly via
+  // Tool(name, opts) wins over this pipeline-wide value.
   PipelineBuilder& ShardFunctions(int n);
 
   // Frontend / VM knobs (the surviving ToolConfig fields).
@@ -167,10 +168,6 @@ class PipelineBuilder {
   PipelineBuilder& TrackLocals(bool on);
   PipelineBuilder& RcWidthBits(int bits);
   PipelineBuilder& IncludePrelude(bool on);
-  // A/B knob: allocate AST nodes individually on the heap instead of in the
-  // per-module arena (the pre-arena cost model). Analyses and fingerprints
-  // are byte-identical either way; only allocation behaviour differs.
-  PipelineBuilder& HeapAst(bool on);
 
   // Maps the legacy flat config onto a builder (the Compile() shim).
   static PipelineBuilder FromToolConfig(const ToolConfig& config);

@@ -283,7 +283,7 @@ bool AnalysisSession::ReplaceModuleSources(const std::string& name,
 
 WorkQueue* AnalysisSession::pool() {
   if (pipeline_.shard_functions() == 1) {
-    return nullptr;  // serial kernels never touch a pool
+    return nullptr;  // one-shard kernels run inline and never touch a pool
   }
   if (pool_ == nullptr) {
     int shards = pipeline_.shard_functions();

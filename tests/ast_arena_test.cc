@@ -1,5 +1,5 @@
 // Arena-backed AST invariants: slab layout, per-function id spans, string
-// interning, the linear-slab fingerprint (heap-vs-arena identity, location
+// interning, the linear-slab fingerprint (slab-position and location
 // insensitivity), and parse-error robustness (leak-freedom is by
 // construction — POD nodes in an arena — so the fuzz loop here runs under
 // the sanitizer jobs to prove no error path crashes or double-builds).
@@ -18,14 +18,12 @@
 namespace ivy {
 namespace {
 
-std::unique_ptr<Compilation> CompileMode(const std::string& text, bool heap) {
-  PipelineBuilder b;
-  b.HeapAst(heap);
-  return b.Build().Compile({SourceFile{"t.mc", text}});
+std::unique_ptr<Compilation> CompileText(const std::string& text) {
+  return PipelineBuilder().Build().Compile({SourceFile{"t.mc", text}});
 }
 
-std::unique_ptr<Compilation> CompileOk(const std::string& text, bool heap = false) {
-  auto comp = CompileMode(text, heap);
+std::unique_ptr<Compilation> CompileOk(const std::string& text) {
+  auto comp = CompileText(text);
   EXPECT_TRUE(comp->ok) << comp->Errors();
   return comp;
 }
@@ -152,33 +150,6 @@ TEST(AstArena, InterningDeduplicates) {
   EXPECT_GT(idents, static_cast<int>(id_of.size()));  // dedup actually fired
 }
 
-// The same source compiled in arena and per-node-heap mode yields identical
-// fingerprints (full, signature, preamble) and identical referenced-name
-// sets — the arena must be invisible to the incremental dirty-bit layer.
-TEST(AstArena, FingerprintsIdenticalAcrossAllocModes) {
-  SynthCorpusOptions opt;
-  opt.functions = 40;
-  opt.seed = 99;
-  const std::string text = GenerateSynthCorpus(opt);
-  auto arena = CompileOk(text, /*heap=*/false);
-  auto heap = CompileOk(text, /*heap=*/true);
-  EXPECT_EQ(FingerprintPreamble(arena->prog), FingerprintPreamble(heap->prog));
-  ASSERT_EQ(arena->prog.funcs.size(), heap->prog.funcs.size());
-  for (size_t i = 0; i < arena->prog.funcs.size(); ++i) {
-    const FuncDecl* fa = arena->prog.funcs[i];
-    const FuncDecl* fh = heap->prog.funcs[i];
-    ASSERT_EQ(fa->name, fh->name);
-    if (fa->body == nullptr) {
-      continue;
-    }
-    FunctionFingerprint a = FingerprintFunctionFull(arena->prog, fa);
-    FunctionFingerprint h = FingerprintFunctionFull(heap->prog, fh);
-    EXPECT_EQ(a.full, h.full) << fa->name;
-    EXPECT_EQ(a.sig, h.sig) << fa->name;
-    EXPECT_EQ(a.refs, h.refs) << fa->name;
-  }
-}
-
 // Relative-id mixing makes the fingerprint independent of where a function
 // sits in the module: shifting a function down the slabs (by adding code
 // before it) must not change its fingerprint.
@@ -303,8 +274,8 @@ TEST(AstArena, ParseErrorFuzzIsCrashFreeAndDeterministic) {
         text[next() % text.size()] = kJunk[next() % (sizeof(kJunk) - 1)];
       }
     }
-    auto one = CompileMode(text, /*heap=*/false);
-    auto two = CompileMode(text, /*heap=*/false);
+    auto one = CompileText(text);
+    auto two = CompileText(text);
     EXPECT_EQ(one->Errors(), two->Errors()) << "diagnostics not deterministic";
   }
 }

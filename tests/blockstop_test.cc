@@ -6,16 +6,33 @@
 #include "src/blockstop/blockstop.h"
 #include "src/driver/compiler.h"
 #include "src/tool/analysis_context.h"
+#include "src/tool/function_sharder.h"
 
 namespace ivy {
 namespace {
 
+std::string Dump(const std::vector<Finding>& findings) {
+  Json arr = Json::MakeArray();
+  for (const Finding& f : findings) {
+    arr.Append(f.ToJson());
+  }
+  return arr.Dump();
+}
+
+// Runs the kernel the blockstop pass ships — one shard, no pool — and checks
+// it against the serial reference Run() before the scenario asserts on it.
 BlockStopReport Analyze(const std::string& src, bool field_sensitive = false) {
   auto comp = CompileOne(src, ToolConfig{});
   EXPECT_TRUE(comp->ok) << comp->Errors();
   AnalysisContext ctx(comp.get(), field_sensitive);
-  BlockStop bs(&comp->prog, comp->sema.get(), &ctx.callgraph());
-  return bs.Run();
+  const CallGraph& cg = ctx.callgraph();
+  BlockStop reference(&comp->prog, comp->sema.get(), &cg);
+  BlockStopReport expected = reference.Run();
+  BlockStop bs(&comp->prog, comp->sema.get(), &cg);
+  BlockStopReport shipped = bs.Run(FunctionSharder(cg.DefinedFuncs(), 1), nullptr);
+  EXPECT_EQ(Dump(shipped.ToFindings()), Dump(expected.ToFindings()));
+  EXPECT_EQ(shipped.mayblock, expected.mayblock);
+  return shipped;
 }
 
 TEST(BlockStop, DirectBlockingCallUnderSpinlock) {

@@ -8,9 +8,47 @@
 #include "src/locksafe/locksafe.h"
 #include "src/stackcheck/stackcheck.h"
 #include "src/tool/analysis_context.h"
+#include "src/tool/function_sharder.h"
 
 namespace ivy {
 namespace {
+
+std::string Dump(const std::vector<Finding>& findings) {
+  Json arr = Json::MakeArray();
+  for (const Finding& f : findings) {
+    arr.Append(f.ToJson());
+  }
+  return arr.Dump();
+}
+
+// Each analysis runs the kernel its pass ships — one shard, no pool — after
+// checking it against the serial reference Run(); the scenarios then assert
+// on the shipped report.
+LockSafeReport RunLockSafe(const Program* prog, const Sema* sema, const CallGraph* cg) {
+  LockSafeReport expected = LockSafe(prog, sema, cg).Run();
+  LockSafeReport shipped =
+      LockSafe(prog, sema, cg).Run(FunctionSharder(cg->DefinedFuncs(), 1), nullptr);
+  EXPECT_EQ(Dump(shipped.ToFindings()), Dump(expected.ToFindings()));
+  return shipped;
+}
+
+StackCheckReport RunStackCheck(const CallGraph* cg, const IrModule* module,
+                               const std::vector<std::string>& entries) {
+  StackCheckReport expected = StackCheck(cg, module, 8192).Run(entries);
+  StackCheckReport shipped = StackCheck(cg, module, 8192)
+                                 .Run(entries, FunctionSharder(cg->DefinedFuncs(), 1), nullptr);
+  EXPECT_EQ(Dump(shipped.ToFindings()), Dump(expected.ToFindings()));
+  EXPECT_EQ(shipped.entry_depths, expected.entry_depths);
+  return shipped;
+}
+
+ErrCheckReport RunErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg) {
+  ErrCheckReport expected = ErrCheck(prog, sema, cg).Run();
+  ErrCheckReport shipped =
+      ErrCheck(prog, sema, cg).Run(FunctionSharder(cg->DefinedFuncs(), 1), nullptr);
+  EXPECT_EQ(Dump(shipped.ToFindings()), Dump(expected.ToFindings()));
+  return shipped;
+}
 
 // The shared-cache idiom: one AnalysisContext per compilation, every tool
 // pulls the same memoized call graph.
@@ -37,8 +75,7 @@ TEST(LockSafe, DetectsAbbaInversion) {
     void path2(void) { spin_lock(&lb); spin_lock(&la); spin_unlock(&la); spin_unlock(&lb); }
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
-  LockSafeReport r = ls.Run();
+  LockSafeReport r = RunLockSafe(&a.comp->prog, a.comp->sema.get(), a.cg);
   ASSERT_EQ(r.deadlock_cycles.size(), 1u);
   EXPECT_EQ(r.deadlock_cycles[0].size(), 2u);
 }
@@ -51,8 +88,7 @@ TEST(LockSafe, ConsistentOrderIsClean) {
     void path2(void) { spin_lock(&la); spin_unlock(&la); spin_lock(&lb); spin_unlock(&lb); }
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
-  EXPECT_TRUE(ls.Run().deadlock_cycles.empty());
+  EXPECT_TRUE(RunLockSafe(&a.comp->prog, a.comp->sema.get(), a.cg).deadlock_cycles.empty());
 }
 
 TEST(LockSafe, IrqVsProcessInvariant) {
@@ -63,8 +99,7 @@ TEST(LockSafe, IrqVsProcessInvariant) {
     void reader(void) { spin_lock(&stats); spin_unlock(&stats); }  // irqs on!
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
-  LockSafeReport r = ls.Run();
+  LockSafeReport r = RunLockSafe(&a.comp->prog, a.comp->sema.get(), a.cg);
   ASSERT_EQ(r.irq_unsafe_locks.size(), 1u);
   EXPECT_EQ(r.irq_unsafe_locks[0], "stats");
 }
@@ -80,8 +115,7 @@ TEST(LockSafe, IrqsaveUsageIsSafe) {
     }
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
-  EXPECT_TRUE(ls.Run().irq_unsafe_locks.empty());
+  EXPECT_TRUE(RunLockSafe(&a.comp->prog, a.comp->sema.get(), a.cg).irq_unsafe_locks.empty());
 }
 
 TEST(LockSafe, RuntimeValidatorSeesStructNames) {
@@ -109,8 +143,7 @@ TEST(StackCheck, SumsDeepestChain) {
     void top(void) { mid(); }
   )";
   Analyzed a = Build(src);
-  StackCheck sc(a.cg, &a.comp->module, 8192);
-  StackCheckReport r = sc.Run({"top"});
+  StackCheckReport r = RunStackCheck(a.cg, &a.comp->module, {"top"});
   EXPECT_TRUE(r.fits_budget);
   // leaf=64, mid=128+pad, top has no locals: depth = frames summed.
   EXPECT_GE(r.entry_depths["top"], 64 + 128);
@@ -123,8 +156,7 @@ TEST(StackCheck, BudgetExceededFlagged) {
     void top(void) { huge(); }
   )";
   Analyzed a = Build(src);
-  StackCheck sc(a.cg, &a.comp->module, 8192);
-  StackCheckReport r = sc.Run({"top"});
+  StackCheckReport r = RunStackCheck(a.cg, &a.comp->module, {"top"});
   EXPECT_FALSE(r.fits_budget);
   EXPECT_GT(r.worst_case, 8192);
 }
@@ -135,8 +167,7 @@ TEST(StackCheck, RecursionNeedsRuntimeChecks) {
     int top(void) { return fact(5); }
   )";
   Analyzed a = Build(src);
-  StackCheck sc(a.cg, &a.comp->module, 8192);
-  StackCheckReport r = sc.Run({"top"});
+  StackCheckReport r = RunStackCheck(a.cg, &a.comp->module, {"top"});
   EXPECT_FALSE(r.fits_budget);
   EXPECT_EQ(r.recursive.count("fact"), 1u);
 }
@@ -153,8 +184,7 @@ TEST(StackCheck, IndirectCallsIncluded) {
     }
   )";
   Analyzed a = Build(src);
-  StackCheck sc(a.cg, &a.comp->module, 8192);
-  StackCheckReport r = sc.Run({"top"});
+  StackCheckReport r = RunStackCheck(a.cg, &a.comp->module, {"top"});
   EXPECT_GE(r.entry_depths["top"], 800);
 }
 
@@ -164,8 +194,7 @@ TEST(ErrCheck, DiscardedResultFlagged) {
     void careless(void) { may_fail(); }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
-  ErrCheckReport r = ec.Run();
+  ErrCheckReport r = RunErrCheck(&a.comp->prog, a.comp->sema.get(), a.cg);
   ASSERT_EQ(r.findings.size(), 1u);
   EXPECT_EQ(r.findings[0].kind, "discarded");
   EXPECT_EQ(r.findings[0].caller, "careless");
@@ -181,8 +210,7 @@ TEST(ErrCheck, TestedResultIsClean) {
     }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
-  ErrCheckReport r = ec.Run();
+  ErrCheckReport r = RunErrCheck(&a.comp->prog, a.comp->sema.get(), a.cg);
   EXPECT_TRUE(r.findings.empty());
   EXPECT_EQ(r.checked_sites, 1);
 }
@@ -196,8 +224,7 @@ TEST(ErrCheck, NeverTestedAssignmentFlagged) {
     }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
-  ErrCheckReport r = ec.Run();
+  ErrCheckReport r = RunErrCheck(&a.comp->prog, a.comp->sema.get(), a.cg);
   ASSERT_EQ(r.findings.size(), 1u);
   EXPECT_EQ(r.findings[0].kind, "never-tested");
 }
@@ -210,8 +237,7 @@ TEST(ErrCheck, NegativeConstantReturnsInferred) {
     void uses(void) { lookup(5); }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
-  ErrCheckReport r = ec.Run();
+  ErrCheckReport r = RunErrCheck(&a.comp->prog, a.comp->sema.get(), a.cg);
   EXPECT_EQ(r.inferred_funcs, 1);
   EXPECT_EQ(r.findings.size(), 1u);
 }
@@ -222,8 +248,7 @@ TEST(ErrCheck, PropagatedReturnIsHandled) {
     int forwards(void) { return may_fail(); }   // caller will check
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
-  EXPECT_TRUE(ec.Run().findings.empty());
+  EXPECT_TRUE(RunErrCheck(&a.comp->prog, a.comp->sema.get(), a.cg).findings.empty());
 }
 
 TEST(FutureAnalyses, CorpusFindsPlantedIssues) {
@@ -232,18 +257,15 @@ TEST(FutureAnalyses, CorpusFindsPlantedIssues) {
   AnalysisContext ctx(comp.get(), /*field_sensitive=*/true);
   const CallGraph& cg = ctx.callgraph();
 
-  LockSafe ls(&comp->prog, comp->sema.get(), &cg);
-  LockSafeReport lr = ls.Run();
+  LockSafeReport lr = RunLockSafe(&comp->prog, comp->sema.get(), &cg);
   EXPECT_GE(lr.deadlock_cycles.size(), 1u) << "netdev tx/stats inversion";
   EXPECT_GE(lr.irq_unsafe_locks.size(), 1u) << "stats_lock irq invariant";
 
-  StackCheck sc(&cg, &comp->module, 8192);
-  StackCheckReport sr = sc.Run({"boot_kernel", "syscall_entry"});
+  StackCheckReport sr = RunStackCheck(&cg, &comp->module, {"boot_kernel", "syscall_entry"});
   EXPECT_TRUE(sr.recursive.empty());
   EXPECT_LE(sr.worst_case, 8192);
 
-  ErrCheck ec(&comp->prog, comp->sema.get(), &cg);
-  ErrCheckReport er = ec.Run();
+  ErrCheckReport er = RunErrCheck(&comp->prog, comp->sema.get(), &cg);
   EXPECT_GT(er.err_returning_funcs, 10);
   EXPECT_GT(er.findings.size(), 5u);
 

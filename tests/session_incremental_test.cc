@@ -119,16 +119,16 @@ TEST(AnalysisSession, MergedFindingsIndependentOfRegistrationOrder) {
 
 TEST(AnalysisSession, ShardedSessionByteIdentical) {
   std::vector<ModuleSources> corpus = MakeCorpus(4, 500, 64);
-  AnalysisSession serial = TestPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult serial_result = serial.Run();
+  AnalysisSession one_shard = TestPipeline().ForEachModule(corpus).BuildSession();
+  SessionResult one_shard_result = one_shard.Run();
 
   PipelineBuilder sharded_builder = TestPipeline();
   sharded_builder.ShardFunctions(3).ForEachModule(corpus);
   AnalysisSession sharded = sharded_builder.BuildSession();
   SessionResult sharded_result = sharded.Run();
 
-  EXPECT_FALSE(serial_result.findings.empty());
-  EXPECT_EQ(Dump(sharded_result.findings), Dump(serial_result.findings));
+  EXPECT_FALSE(one_shard_result.findings.empty());
+  EXPECT_EQ(Dump(sharded_result.findings), Dump(one_shard_result.findings));
 }
 
 TEST(AnalysisSession, IncrementalSingleEditMatchesColdAndStaysLocal) {

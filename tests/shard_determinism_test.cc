@@ -1,12 +1,17 @@
-// The sharding determinism contract, property-tested: BlockStop and
-// StackCheck must produce byte-identical findings JSON under the serial
-// reference kernels, sharded(1), and sharded(8), across randomized corpora
-// from the seeded generator in tests/synth_corpus.h. This is the guarantee
-// that lets the pipeline turn sharding on without invalidating golden
-// outputs, annodb diffs, or the paper tables.
+// The sharding determinism contract, property-tested: BlockStop, StackCheck,
+// LockSafe and ErrCheck must produce byte-identical findings JSON under the
+// serial reference kernels and the sharded kernels the passes ship — one
+// shard with no pool, and up to eight shards on a pool — across randomized
+// corpora from the seeded generator in tests/synth_corpus.h. This is the
+// guarantee that lets every pass run only its sharded kernel without
+// invalidating golden outputs, annodb diffs, or the paper tables.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/blockstop/blockstop.h"
@@ -22,6 +27,15 @@
 
 namespace ivy {
 namespace {
+
+// The pool a pass gives its kernel: none for one shard (the only chunk runs
+// on the calling thread), else k-1 help-first workers.
+std::unique_ptr<WorkQueue> PoolFor(const FunctionSharder& sharder) {
+  if (sharder.shard_count() == 1) {
+    return nullptr;
+  }
+  return std::make_unique<WorkQueue>(sharder.worker_count());
+}
 
 std::string Dump(const std::vector<Finding>& findings) {
   Json arr = Json::MakeArray();
@@ -58,6 +72,58 @@ TEST(ShardDeterminism, SynthCorpusCompiles) {
   }
 }
 
+// The passes' default: a one-shard sharder with no pool runs its chunk on the
+// calling thread and reduces to the same chunks as a pooled sharder — one
+// shard or four, flattened. A null pool with more shards runs every chunk
+// there too, in chunk order.
+TEST(ShardDeterminism, OneShardWithoutPoolRunsOnCallingThread) {
+  Corpus c = BuildCorpus(48, 3);
+  ASSERT_NE(c.ctx, nullptr);
+  const std::vector<const FuncDecl*>& funcs = c.ctx->callgraph().DefinedFuncs();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  auto names = [&funcs, &mu, &threads](int, size_t begin, size_t end) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    }
+    std::vector<std::string> out;
+    for (size_t i = begin; i < end; ++i) {
+      out.push_back(funcs[i]->name);
+    }
+    return out;
+  };
+  auto flatten = [](const std::vector<std::vector<std::string>>& chunks) {
+    std::vector<std::string> flat;
+    for (const auto& chunk : chunks) {
+      flat.insert(flat.end(), chunk.begin(), chunk.end());
+    }
+    return flat;
+  };
+
+  FunctionSharder one(funcs, 1);
+  ASSERT_EQ(one.shard_count(), 1);
+  EXPECT_EQ(PoolFor(one), nullptr);
+  std::vector<std::vector<std::string>> inline_chunks =
+      one.MapChunks<std::string>(nullptr, funcs.size(), names);
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
+  ASSERT_EQ(inline_chunks.size(), 1u);
+  EXPECT_EQ(inline_chunks[0].size(), funcs.size());
+
+  WorkQueue wq(2);
+  EXPECT_EQ(one.MapChunks<std::string>(&wq, funcs.size(), names), inline_chunks);
+  FunctionSharder four(funcs, 4);
+  std::vector<std::vector<std::string>> pooled =
+      four.MapChunks<std::string>(&wq, funcs.size(), names);
+  ASSERT_EQ(pooled.size(), 4u);
+  EXPECT_EQ(flatten(pooled), inline_chunks[0]);
+
+  threads.clear();
+  EXPECT_EQ(four.MapChunks<std::string>(nullptr, funcs.size(), names), pooled);
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
+}
+
 TEST(ShardDeterminism, BlockStopByteIdenticalAcrossStrategies) {
   for (uint64_t seed : {1u, 7u, 42u}) {
     const int functions = 48 + static_cast<int>(seed % 5) * 16;
@@ -75,9 +141,9 @@ TEST(ShardDeterminism, BlockStopByteIdenticalAcrossStrategies) {
 
     for (int shards : {1, 8}) {
       FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      WorkQueue wq(sharder.shard_count());
+      std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
       BlockStop bs(&c.comp->prog, c.comp->sema.get(), &cg);
-      BlockStopReport report = bs.Run(sharder, wq);
+      BlockStopReport report = bs.Run(sharder, wq.get());
       EXPECT_EQ(Dump(report.ToFindings()), golden)
           << "seed " << seed << " shards " << shards;
       EXPECT_EQ(report.mayblock, serial.mayblock)
@@ -101,9 +167,9 @@ TEST(ShardDeterminism, StackCheckByteIdenticalAcrossStrategies) {
 
     for (int shards : {1, 8}) {
       FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      WorkQueue wq(sharder.shard_count());
+      std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
       StackCheck sc(&cg, &c.comp->module, /*budget=*/64);
-      StackCheckReport report = sc.Run({}, sharder, wq);
+      StackCheckReport report = sc.Run({}, sharder, wq.get());
       EXPECT_EQ(Dump(report.ToFindings()), golden)
           << "seed " << seed << " shards " << shards;
       EXPECT_EQ(report.entry_depths, serial.entry_depths)
@@ -123,9 +189,9 @@ TEST(ShardDeterminism, ExplicitEntryListSharded) {
   StackCheck serial_sc(&cg, &c.comp->module);
   std::string golden = Dump(serial_sc.Run(entries).ToFindings());
   FunctionSharder sharder(cg.DefinedFuncs(), 4);
-  WorkQueue wq(sharder.shard_count());
+  std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
   StackCheck sc(&cg, &c.comp->module);
-  StackCheckReport report = sc.Run(entries, sharder, wq);
+  StackCheckReport report = sc.Run(entries, sharder, wq.get());
   EXPECT_EQ(Dump(report.ToFindings()), golden);
   EXPECT_EQ(report.entry_depths.size(), 2u);  // the bogus entry is skipped
 }
@@ -150,17 +216,17 @@ TEST(ShardDeterminism, MixedDirectionBlocksByteIdentical) {
   std::string golden = Dump(serial_bs.Run().ToFindings());
   for (int shards : {1, 3, 8}) {
     FunctionSharder sharder(cg.DefinedFuncs(), shards);
-    WorkQueue wq(sharder.shard_count());
+    std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
     BlockStop bs(&comp->prog, comp->sema.get(), &cg);
-    EXPECT_EQ(Dump(bs.Run(sharder, wq).ToFindings()), golden) << "shards " << shards;
+    EXPECT_EQ(Dump(bs.Run(sharder, wq.get()).ToFindings()), golden) << "shards " << shards;
   }
 
   StackCheck serial_sc(&cg, &comp->module);
   std::string sc_golden = Dump(serial_sc.Run({}).ToFindings());
   FunctionSharder sharder(cg.DefinedFuncs(), 8);
-  WorkQueue wq(sharder.shard_count());
+  std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
   StackCheck sc(&cg, &comp->module);
-  EXPECT_EQ(Dump(sc.Run({}, sharder, wq).ToFindings()), sc_golden);
+  EXPECT_EQ(Dump(sc.Run({}, sharder, wq.get()).ToFindings()), sc_golden);
 }
 
 TEST(ShardDeterminism, LockSafeByteIdenticalAcrossStrategies) {
@@ -177,9 +243,9 @@ TEST(ShardDeterminism, LockSafeByteIdenticalAcrossStrategies) {
 
     for (int shards : {1, 3, 8}) {
       FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      WorkQueue wq(sharder.worker_count());
+      std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
       LockSafe ls(&c.comp->prog, c.comp->sema.get(), &cg);
-      LockSafeReport report = ls.Run(sharder, wq);
+      LockSafeReport report = ls.Run(sharder, wq.get());
       EXPECT_EQ(Dump(report.ToFindings("static")), golden)
           << "seed " << seed << " shards " << shards;
       // The full edge list (order included) matches the serial first-seen
@@ -231,9 +297,9 @@ int careful(int n) {
 
     for (int shards : {1, 3, 8}) {
       FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      WorkQueue wq(sharder.worker_count());
+      std::unique_ptr<WorkQueue> wq = PoolFor(sharder);
       ErrCheck ec(&comp->prog, comp->sema.get(), &cg);
-      ErrCheckReport report = ec.Run(sharder, wq);
+      ErrCheckReport report = ec.Run(sharder, wq.get());
       EXPECT_EQ(Dump(report.ToFindings()), golden)
           << "seed " << seed << " shards " << shards;
       EXPECT_EQ(report.err_returning_funcs, serial.err_returning_funcs);
@@ -246,7 +312,7 @@ int careful(int n) {
 
 TEST(ShardDeterminism, SharedPoolAcrossPassesByteIdentical) {
   // All four sharded passes on one shared pool (what a session attaches)
-  // must match per-pass pools and the serial reference.
+  // must match the pool-free one-shard kernels.
   SynthCorpusOptions opt;
   opt.functions = 72;
   opt.seed = 21;
@@ -265,10 +331,10 @@ TEST(ShardDeterminism, SharedPoolAcrossPassesByteIdentical) {
     return Dump(run.result.findings);
   };
 
-  std::string serial = findings_with(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(findings_with(4), serial);
-  EXPECT_EQ(findings_with(0), serial);
+  std::string one_shard = findings_with(1);
+  EXPECT_FALSE(one_shard.empty());
+  EXPECT_EQ(findings_with(4), one_shard);
+  EXPECT_EQ(findings_with(0), one_shard);
 }
 
 TEST(ShardDeterminism, PipelineShardFunctionsByteIdentical) {
@@ -289,10 +355,10 @@ TEST(ShardDeterminism, PipelineShardFunctionsByteIdentical) {
     return Dump(run.result.findings);
   };
 
-  std::string serial = findings_with(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(findings_with(8), serial);
-  EXPECT_EQ(findings_with(0), serial);  // 0 = hardware concurrency
+  std::string one_shard = findings_with(1);
+  EXPECT_FALSE(one_shard.empty());
+  EXPECT_EQ(findings_with(8), one_shard);
+  EXPECT_EQ(findings_with(0), one_shard);  // 0 = hardware concurrency
 }
 
 }  // namespace

@@ -165,10 +165,10 @@ TEST(ToolPipeline, ShardFunctionsKeepsFindingsByteIdentical) {
     }
     return merged.Dump();
   };
-  std::string serial = findings_with(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(findings_with(4), serial);
-  EXPECT_EQ(findings_with(0), serial);  // 0 = hardware concurrency
+  std::string one_shard = findings_with(1);  // the default: pool-free kernels
+  EXPECT_FALSE(one_shard.empty());
+  EXPECT_EQ(findings_with(4), one_shard);
+  EXPECT_EQ(findings_with(0), one_shard);  // 0 = hardware concurrency
 
   // The sharded run advertises its shard count; per-tool options still win
   // over the pipeline-wide value.

@@ -308,7 +308,7 @@ TEST(FunctionSharder, MapChunksReducesInChunkOrder) {
   FunctionSharder sharder({}, 3);
   WorkQueue wq(3);
   std::vector<std::vector<size_t>> chunks = sharder.MapChunks<size_t>(
-      wq, 100, [](int, size_t begin, size_t end) {
+      &wq, 100, [](int, size_t begin, size_t end) {
         std::vector<size_t> out;
         for (size_t i = begin; i < end; ++i) {
           out.push_back(i);

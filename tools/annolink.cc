@@ -37,7 +37,7 @@ void Usage() {
   std::fprintf(stderr,
                "usage: annolink --synth M:N[:seed] --store <path>\n"
                "                [--workers <n>] [--single] [--test-worker-fail <module>]\n"
-               "                [--trace-out <file>] [--metrics] [--heap-ast]\n"
+               "                [--trace-out <file>] [--metrics]\n"
                "       annolink --worker --store <path> --modules a,b,c\n");
 }
 
@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
   bool single = false;
   bool worker_mode = false;
   bool metrics = false;
-  bool heap_ast = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -155,10 +154,6 @@ int main(int argc, char** argv) {
       trace_out = v;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--heap-ast") {
-      // A/B baseline: per-node heap AST. Output must be byte-identical to
-      // the default arena mode — CI diffs the two.
-      heap_ast = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -194,7 +189,6 @@ int main(int argc, char** argv) {
   }
 
   ivy::AnalysisSession session = ivy::SynthServePipeline()
-                                     .HeapAst(heap_ast)
                                      .ForEachModule(ivy::GenerateLinkedCorpus(opt))
                                      .BuildSession();
   // Warm start: adopt the previous run's facts when the store matches this
