@@ -16,7 +16,6 @@
 #include <sys/resource.h>
 
 #include "src/analysis/callgraph.h"
-#include "src/analysis/fingerprint.h"
 #include "src/analysis/pointsto.h"
 #include "src/bc/bytecode.h"
 #include "src/bc/compile.h"
@@ -956,7 +955,7 @@ ivy::Json TracingOverheadJson() {
   std::vector<ivy::ModuleSources> corpus = SessionCorpus();
   ivy::Pipeline pipeline = SessionPipeline().Build();
   auto run_once = [&corpus, &pipeline] {
-    ivy::AnalysisSession session(pipeline, /*track_incremental=*/false);
+    ivy::AnalysisSession session(pipeline);
     for (const ivy::ModuleSources& m : corpus) {
       session.AddModule(m);
     }
@@ -1048,8 +1047,7 @@ ivy::Json TracingOverheadJson() {
 }
 
 // The "frontend" section of BENCH_pipeline.json: parse/sema wall time (min
-// of 5), AST footprint, the fingerprint cost (full corpus and the per-edit
-// refingerprint an incremental session pays), and the process peak RSS.
+// of 5), AST footprint, and the process peak RSS.
 ivy::Json FrontendBenchJson() {
   std::vector<ivy::ModuleSources> corpus = SessionCorpus();
   auto lexed = LexCorpus(corpus);
@@ -1065,58 +1063,14 @@ ivy::Json FrontendBenchJson() {
   getrusage(RUSAGE_SELF, &ru);
   const int64_t peak_rss = static_cast<int64_t>(ru.ru_maxrss) * 1024;
 
-  // Fingerprint cost over a compiled module kept warm (what AnalysisSession
-  // pays per Run), and the per-edit refingerprint: recompile one module with
-  // one function body changed, then refingerprint every function in it.
-  ivy::Pipeline pipeline = SessionPipeline().Build();
-  auto comp = pipeline.Compile(corpus[3].files);
-  if (!comp->ok) {
-    std::abort();
-  }
-  uint64_t fp_sink = 0;
-  double fingerprint_ms = MinMs([&comp, &fp_sink] {
-    for (const ivy::FuncDecl* fn : comp->prog.funcs) {
-      if (fn->body != nullptr) {
-        fp_sink ^= ivy::FingerprintFunction(comp->prog, fn);
-      }
-    }
-  });
-  benchmark::DoNotOptimize(fp_sink);
-
-  std::vector<ivy::SourceFile> edited = corpus[3].files;
-  const std::string needle = "void " + ivy::SynthFuncName(5) + "(int n)";
-  size_t pos = edited[0].text.find(needle);
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "FATAL: frontend bench edit target not found\n");
-    std::abort();
-  }
-  edited[0].text.insert(pos, "/* edited */ ");
-  auto comp2 = pipeline.Compile(edited);
-  if (!comp2->ok) {
-    std::abort();
-  }
-  double refingerprint_ms = MinMs([&comp2, &fp_sink] {
-    for (const ivy::FuncDecl* fn : comp2->prog.funcs) {
-      if (fn->body != nullptr) {
-        fp_sink ^= ivy::FingerprintFunction(comp2->prog, fn);
-      }
-    }
-  });
-  benchmark::DoNotOptimize(fp_sink);
-
   ivy::Json j = ivy::Json::MakeObject();
   j["parse_us"] = ivy::Json::MakeInt(static_cast<int64_t>(best.parse_ms * 1000));
   j["sema_us"] = ivy::Json::MakeInt(static_cast<int64_t>(best.sema_ms * 1000));
   j["arena_bytes"] = ivy::Json::MakeInt(static_cast<int64_t>(best.ast_bytes));
-  j["fingerprint_us"] = ivy::Json::MakeInt(static_cast<int64_t>(fingerprint_ms * 1000));
-  j["refingerprint_after_edit_us"] =
-      ivy::Json::MakeInt(static_cast<int64_t>(refingerprint_ms * 1000));
   j["peak_rss_bytes"] = ivy::Json::MakeInt(peak_rss);
   std::fprintf(stderr,
-               "frontend: parse+sema=%.1fms arena_bytes=%zu fingerprint=%.2fms "
-               "peak_rss=%lld\n",
-               best.parse_ms + best.sema_ms, best.ast_bytes, fingerprint_ms,
-               static_cast<long long>(peak_rss));
+               "frontend: parse+sema=%.1fms arena_bytes=%zu peak_rss=%lld\n",
+               best.parse_ms + best.sema_ms, best.ast_bytes, static_cast<long long>(peak_rss));
   return j;
 }
 
@@ -1142,66 +1096,55 @@ void WriteBenchPipelineJson() {
     }
     benchmark::DoNotOptimize(sink);
   });
-  // track_incremental off: measure batching itself (shared prelude tokens,
-  // concurrent modules), not the snapshot bookkeeping a long-lived session
-  // additionally buys.
   double batched_ms = MedianMs([&corpus, &pipeline] {
-    ivy::AnalysisSession session(pipeline, /*track_incremental=*/false);
+    ivy::AnalysisSession session(pipeline);
     for (const ivy::ModuleSources& m : corpus) {
       session.AddModule(m);
     }
     benchmark::DoNotOptimize(session.Run().findings.size());
   });
 
-  // Incremental vs cold re-analysis: the same edit sequence against two
-  // primed sessions, one with incremental tracking and one without — each
-  // timed rerun pays the same recompile, so the delta is pure solver work.
+  // Module-granular re-analysis: every timed rerun recompiles the edited
+  // module and solves it cold; every other module's result is reused.
   const std::string edited_module = "mod_03";
   const std::string edited_fn = ivy::SynthFuncName(5);
   const std::string quiet_def = "void " + edited_fn +
                                 "(int n) {\n  int pad[4]; pad[0] = n;\n  udelay(1);\n}\n";
   auto def_for = [&](int i) { return i % 2 == 0 ? EditedDefinition() : quiet_def; };
-  auto rerun_ms = [&](ivy::AnalysisSession& session) {
-    int i = 0;
-    return MedianMs(
-        [&session, &def_for, &i] {
-          if (!session.ReplaceFunction("mod_03", ivy::SynthFuncName(5), def_for(i++))) {
-            std::fprintf(stderr, "FATAL: BENCH_pipeline edit did not apply\n");
-            std::abort();
-          }
-          benchmark::DoNotOptimize(session.Run().findings.size());
-        },
-        4);
-  };
-
-  ivy::PipelineBuilder warm_b = SessionPipeline();
-  warm_b.ForEachModule(corpus);
-  ivy::AnalysisSession warm = warm_b.BuildSession();
-  warm.Run();
-  double incremental_ms = rerun_ms(warm);
-
-  ivy::AnalysisSession cold(pipeline, /*track_incremental=*/false);
+  ivy::AnalysisSession session(pipeline);
   for (const ivy::ModuleSources& m : corpus) {
-    cold.AddModule(m);
+    session.AddModule(m);
   }
-  cold.Run();
-  double cold_ms = rerun_ms(cold);
+  session.Run();
+  int edit = 0;
+  double rerun_ms = MedianMs(
+      [&] {
+        if (!session.ReplaceFunction(edited_module, edited_fn, def_for(edit++))) {
+          std::fprintf(stderr, "FATAL: BENCH_pipeline edit did not apply\n");
+          std::abort();
+        }
+        benchmark::DoNotOptimize(session.Run().findings.size());
+      },
+      4);
 
-  // Identity + counters on one final deterministic edit. The incremental
-  // run must stay byte-identical to the cold run — a faster but diverging
-  // session must never post a winning time.
-  if (!warm.ReplaceFunction(edited_module, edited_fn, EditedDefinition()) ||
-      !cold.ReplaceFunction(edited_module, edited_fn, EditedDefinition())) {
+  // Identity + counters on one final deterministic edit. The rerun must
+  // stay byte-identical to a fresh session over the edited sources — a
+  // faster but diverging session must never post a winning time.
+  ivy::AnalysisSession fresh(pipeline);
+  for (const ivy::ModuleSources& m : corpus) {
+    fresh.AddModule(m);
+  }
+  if (!session.ReplaceFunction(edited_module, edited_fn, EditedDefinition()) ||
+      !fresh.ReplaceFunction(edited_module, edited_fn, EditedDefinition())) {
     std::abort();
   }
-  ivy::SessionResult warm_result = warm.Run();
-  ivy::SessionResult cold_result = cold.Run();
-  if (FindingsDump(warm_result.findings) != FindingsDump(cold_result.findings)) {
-    std::fprintf(stderr, "FATAL: incremental session findings diverge from cold run\n");
+  ivy::SessionResult rerun_result = session.Run();
+  ivy::SessionResult fresh_result = fresh.Run();
+  if (FindingsDump(rerun_result.findings) != FindingsDump(fresh_result.findings)) {
+    std::fprintf(stderr, "FATAL: session rerun findings diverge from a fresh cold run\n");
     std::abort();
   }
-  ivy::ModuleStats warm_stats = warm.StatsFor(edited_module);
-  ivy::ModuleStats cold_stats = cold.StatsFor(edited_module);
+  ivy::ModuleStats rerun_stats = session.StatsFor(edited_module);
 
   ivy::Json j = ivy::Json::MakeObject();
   ivy::Json corpus_j = ivy::Json::MakeObject();
@@ -1212,18 +1155,13 @@ void WriteBenchPipelineJson() {
   j["batched_us"] = ivy::Json::MakeInt(static_cast<int64_t>(batched_ms * 1000));
   // The pre-session world re-analyzes the whole corpus after any edit
   // ("an edited module invalidates everything"); a session re-analyzes one
-  // module — cold at module granularity, or warm with the solver seeds.
+  // module.
   j["edit_rerun_without_session_us"] =
       ivy::Json::MakeInt(static_cast<int64_t>(sequential_ms * 1000));
-  j["edit_rerun_session_cold_us"] = ivy::Json::MakeInt(static_cast<int64_t>(cold_ms * 1000));
-  j["edit_rerun_session_warm_us"] =
-      ivy::Json::MakeInt(static_cast<int64_t>(incremental_ms * 1000));
+  j["edit_rerun_session_cold_us"] = ivy::Json::MakeInt(static_cast<int64_t>(rerun_ms * 1000));
   ivy::Json counters = ivy::Json::MakeObject();
-  counters["pointsto_propagations_cold"] = ivy::Json::MakeInt(cold_stats.pointsto_propagations);
-  counters["pointsto_propagations_warm"] = ivy::Json::MakeInt(warm_stats.pointsto_propagations);
-  counters["pointsto_seeded_facts_warm"] = ivy::Json::MakeInt(warm_stats.pointsto_seeded_facts);
-  counters["mayblock_evals_cold"] = ivy::Json::MakeInt(cold_stats.mayblock_evals);
-  counters["mayblock_evals_warm"] = ivy::Json::MakeInt(warm_stats.mayblock_evals);
+  counters["pointsto_propagations_cold"] = ivy::Json::MakeInt(rerun_stats.pointsto_propagations);
+  counters["mayblock_evals_cold"] = ivy::Json::MakeInt(rerun_stats.mayblock_evals);
   counters["identical_to_cold"] = ivy::Json::MakeBool(true);
   j["incremental"] = std::move(counters);
 
@@ -1333,10 +1271,9 @@ void WriteBenchPipelineJson() {
 
   std::fprintf(stderr,
                "BENCH_pipeline.json: sequential=%.1fms batched=%.1fms cold_rerun=%.1fms "
-               "incremental_rerun=%.1fms linked=%.1fms (%d rounds) merged=%.1fms "
-               "relink=%.1fms -> %s\n",
-               sequential_ms, batched_ms, cold_ms, incremental_ms, linked_ms, linked_rounds,
-               merged_ms, relink_ms, path.c_str());
+               "linked=%.1fms (%d rounds) merged=%.1fms relink=%.1fms -> %s\n",
+               sequential_ms, batched_ms, rerun_ms, linked_ms, linked_rounds, merged_ms,
+               relink_ms, path.c_str());
 }
 
 }  // namespace

@@ -52,20 +52,6 @@ class CallGraph {
   // the callers of functions whose facts changed last round.
   const std::vector<const FuncDecl*>& CallersOf(const FuncDecl* fn) const;
 
-  // Region hooks for incremental re-analysis (AnalysisSession).
-  //
-  // AncestorsOf: every defined function that can reach a root through call
-  // edges (the roots themselves included) — i.e. the region whose bottom-up
-  // facts (BlockStop's may-block, ErrCheck's err-func influence) an edit to
-  // the roots can perturb. Deterministic: a subset of DefinedFuncs().
-  std::set<const FuncDecl*> AncestorsOf(const std::set<const FuncDecl*>& roots) const;
-  // A per-function hash of the resolved callee-name multiset (direct +
-  // indirect + irq-dispatch targets, in site order). Comparing these across
-  // recompilations finds functions whose bodies are unchanged but whose
-  // resolution changed — e.g. an indirect site gaining a target because an
-  // edited function stored a new hook.
-  std::map<std::string, uint64_t> CalleeNameHashes() const;
-
   int64_t edge_count() const { return edges_; }
   int64_t indirect_site_count() const { return indirect_sites_; }
   // Total candidate count across indirect sites (precision metric, A2).

@@ -4,87 +4,21 @@
 
 namespace ivy {
 
-namespace {
-const char kGlobalsOrigin[] = "<globals>";
-// Origin stamped on imported cross-module facts: never a function name, so
-// fingerprint-derived dirty sets cannot taint it — link facts survive warm
-// re-solves for as long as the session's import set is unchanged (an import
-// change cold-solves the module instead).
-const char kLinkOrigin[] = "<link>";
-}  // namespace
-
 PointsTo::PointsTo(const Program* prog, const Sema* sema, bool field_sensitive)
     : prog_(prog), sema_(sema), field_sensitive_(field_sensitive) {}
-
-void PointsTo::EnableIncremental(const PointsToSnapshot* prev,
-                                 const std::set<std::string>* dirty_origins) {
-  track_ = true;
-  prev_ = prev;
-  dirty_ = dirty_origins;
-}
 
 void PointsTo::SetLinkSeeds(const PointsToLinkSeeds* seeds) { link_seeds_ = seeds; }
 
 int PointsTo::NewNode() {
   node_funcs_.emplace_back();
   edges_.emplace_back();
-  if (track_) {
-    node_keys_.emplace_back();
-    node_origins_.emplace_back();
-    edge_origins_.emplace_back();
-  }
   return static_cast<int>(node_funcs_.size()) - 1;
 }
 
-int PointsTo::OriginId(const std::string& name) {
-  auto [it, inserted] = origin_ids_.emplace(name, -1);
-  if (inserted) {
-    it->second = static_cast<int>(origin_names_.size());
-    origin_names_.push_back(name);
-  }
-  return it->second;
-}
-
-void PointsTo::SetKey(int node, std::string key) {
-  if (!track_ || node < 0) {
-    return;
-  }
-  auto [it, inserted] = key_to_node_.emplace(key, node);
-  if (!inserted) {
-    // Defensive: a colliding key would cross-seed two cells; make it unique
-    // (such cells simply never match a previous snapshot).
-    key += "~" + std::to_string(node);
-    key_to_node_.emplace(key, node);
-  }
-  node_keys_[static_cast<size_t>(node)] = std::move(key);
-}
-
-std::string PointsTo::SiteKey(char tag) {
-  std::string caller = cur_fn_ != nullptr ? cur_fn_->name : std::string(kGlobalsOrigin);
-  int ordinal = site_ordinal_[caller]++;
-  return std::string(1, tag) + ":" + caller + ":" + std::to_string(ordinal);
-}
-
-int PointsTo::VarNode(const Symbol* sym, const FuncDecl* owner) {
+int PointsTo::VarNode(const Symbol* sym) {
   auto [it, inserted] = var_nodes_.emplace(sym, -1);
   if (inserted) {
     it->second = NewNode();
-    if (track_) {
-      const std::string owner_name =
-          owner != nullptr ? owner->name : std::string(kGlobalsOrigin);
-      if (sym->kind == SymKind::kGlobal) {
-        SetKey(it->second, "g:" + sym->name);
-      } else if (sym->kind == SymKind::kParam) {
-        SetKey(it->second, "p:" + owner_name + ":" + std::to_string(sym->param_index));
-      } else if (sym->local_id >= 0) {
-        // Dense per-function numbering from lowering: stable for unchanged
-        // bodies, immune to solve-order effects.
-        SetKey(it->second, "l:" + owner_name + ":" + std::to_string(sym->local_id));
-      } else {
-        int occ = local_occurrence_[{owner_name, sym->name}]++;
-        SetKey(it->second, "l:" + owner_name + ":" + sym->name + "#" + std::to_string(occ));
-      }
-    }
   }
   return it->second;
 }
@@ -94,13 +28,6 @@ int PointsTo::FieldNode(const RecordDecl* rec, int field_index) {
   auto [it, inserted] = field_nodes_.emplace(std::make_pair(rec, idx), -1);
   if (inserted) {
     it->second = NewNode();
-    if (track_) {
-      // type_id is dense in sema order — stable while the preamble is
-      // unchanged (a preamble change cold-solves anyway). Named records also
-      // carry the name for readability.
-      SetKey(it->second, "f:" + rec->name + "#" + std::to_string(rec->type_id) + ":" +
-                             std::to_string(idx));
-    }
   }
   return it->second;
 }
@@ -109,9 +36,6 @@ int PointsTo::RetNode(const FuncDecl* fn) {
   auto [it, inserted] = ret_nodes_.emplace(fn, -1);
   if (inserted) {
     it->second = NewNode();
-    if (track_) {
-      SetKey(it->second, "r:" + fn->name);
-    }
   }
   return it->second;
 }
@@ -130,7 +54,7 @@ int PointsTo::NodeOfExpr(const Expr* e) {
   }
   switch (e->kind) {
     case ExprKind::kIdent:
-      return e->sym != nullptr ? VarNode(e->sym, cur_fn_) : -1;
+      return e->sym != nullptr ? VarNode(e->sym) : -1;
     case ExprKind::kMember:
       if (e->field != nullptr && e->field_record != nullptr) {
         return FieldNode(e->field_record, e->field->index);
@@ -154,9 +78,6 @@ void PointsTo::AddEdge(int src, int dst) {
     return;
   }
   edges_[static_cast<size_t>(src)].push_back(dst);
-  if (track_) {
-    edge_origins_[static_cast<size_t>(src)].push_back(gen_origins_);
-  }
 }
 
 void PointsTo::AddFunc(int node, const FuncDecl* fn) {
@@ -168,9 +89,6 @@ void PointsTo::AddFunc(int node, const FuncDecl* fn) {
   }
   funcs_by_id_[static_cast<size_t>(fn->func_id)] = fn;
   node_funcs_[static_cast<size_t>(node)].insert(fn->func_id);
-  if (track_) {
-    node_origins_[static_cast<size_t>(node)].insert(gen_origins_.begin(), gen_origins_.end());
-  }
   address_taken_.insert(fn);
 }
 
@@ -222,15 +140,11 @@ void PointsTo::GenCall(const Expr* e) {
     if (callee->is_builtin && callee->name == "trigger_irq" && !e->args.empty()) {
       IndirectSite site;
       site.call = e->args[0];
-      site.caller = cur_fn_;
       site.callee_node = NodeOfExpr(e->args[0]);
       if (e->args.size() > 1) {
         site.args.push_back(e->args[1]);
       }
       site.ret_node = NewNode();
-      if (track_) {
-        SetKey(site.ret_node, SiteKey('s'));
-      }
       site_of_expr_[e->args[0]] = static_cast<int>(sites_.size());
       sites_.push_back(site);
       // The handler reference itself may be a function name.
@@ -238,9 +152,6 @@ void PointsTo::GenCall(const Expr* e) {
         int handler_node = site.callee_node;
         if (handler_node < 0) {
           handler_node = NewNode();
-          if (track_) {
-            SetKey(handler_node, SiteKey('a'));
-          }
         }
         AddFunc(handler_node, h);
         int idx = site_of_expr_[e->args[0]];
@@ -250,22 +161,18 @@ void PointsTo::GenCall(const Expr* e) {
     }
     // Direct call: bind arguments to parameters.
     for (size_t i = 0; i < e->args.size() && i < callee->params.size(); ++i) {
-      FlowInto(e->args[i], VarNode(callee->params[i], callee));
+      FlowInto(e->args[i], VarNode(callee->params[i]));
     }
     return;
   }
   // Indirect call site.
   IndirectSite site;
   site.call = e;
-  site.caller = cur_fn_;
   site.callee_node = NodeOfExpr(e->a);
   for (const Expr* a : e->args) {
     site.args.push_back(a);
   }
   site.ret_node = NewNode();
-  if (track_) {
-    SetKey(site.ret_node, SiteKey('s'));
-  }
   site_of_expr_[e] = static_cast<int>(sites_.size());
   sites_.push_back(site);
 }
@@ -294,7 +201,7 @@ void PointsTo::GenStmt(const Stmt* s) {
   }
   if (s->kind == StmtKind::kDecl && s->decl != nullptr && s->decl->init != nullptr &&
       s->decl->sym != nullptr) {
-    FlowInto(s->decl->init, VarNode(s->decl->sym, cur_fn_));
+    FlowInto(s->decl->init, VarNode(s->decl->sym));
   }
   if (s->kind == StmtKind::kReturn && s->expr != nullptr && cur_fn_ != nullptr) {
     FlowInto(s->expr, RetNode(cur_fn_));
@@ -313,67 +220,18 @@ void PointsTo::GenStmt(const Stmt* s) {
   }
 }
 
-void PointsTo::SeedFromPrev() {
-  if (prev_ == nullptr) {
-    return;
-  }
-  for (const auto& [key, snap] : *prev_) {
-    bool tainted = false;
-    if (dirty_ != nullptr) {
-      for (const std::string& origin : snap.origins) {
-        if (dirty_->count(origin) != 0) {
-          tainted = true;
-          break;
-        }
-      }
-    }
-    if (tainted) {
-      continue;  // the dirty region: re-derive from scratch
-    }
-    auto it = key_to_node_.find(key);
-    if (it == key_to_node_.end()) {
-      continue;  // cell no longer exists (e.g. local of a removed function)
-    }
-    size_t node = static_cast<size_t>(it->second);
-    for (const std::string& fname : snap.funcs) {
-      auto fit = sema_->func_map().find(fname);
-      if (fit == sema_->func_map().end() || fit->second == nullptr ||
-          fit->second->func_id < 0) {
-        continue;
-      }
-      const FuncDecl* fn = fit->second;
-      if (static_cast<size_t>(fn->func_id) >= funcs_by_id_.size()) {
-        funcs_by_id_.resize(static_cast<size_t>(fn->func_id) + 1, nullptr);
-      }
-      funcs_by_id_[static_cast<size_t>(fn->func_id)] = fn;
-      if (node_funcs_[node].insert(fn->func_id).second) {
-        ++seeded_facts_;
-      }
-    }
-    for (const std::string& origin : snap.origins) {
-      node_origins_[node].insert(OriginId(origin));
-    }
-  }
-}
-
 void PointsTo::Solve() {
   for (const auto& [name, fn] : sema_->func_map()) {
     if (fn->body == nullptr || fn->func_id < 0) {
       continue;
     }
     cur_fn_ = fn;
-    if (track_) {
-      gen_origins_ = {OriginId(fn->name)};
-    }
     GenStmt(fn->body);
   }
   cur_fn_ = nullptr;
-  if (track_) {
-    gen_origins_ = {OriginId(kGlobalsOrigin)};
-  }
   for (const VarDecl* g : prog_->globals) {
     if (g->init != nullptr && g->sym != nullptr) {
-      FlowInto(g->init, VarNode(g->sym, nullptr));
+      FlowInto(g->init, VarNode(g->sym));
     }
   }
 
@@ -381,9 +239,6 @@ void PointsTo::Solve() {
   // return cells of functions this module shares with it. Applied before the
   // fixpoint so they propagate like any locally-generated fact.
   if (link_seeds_ != nullptr) {
-    if (track_) {
-      gen_origins_ = {OriginId(kLinkOrigin)};
-    }
     for (const auto& [cell, names] : *link_seeds_) {
       auto fit = sema_->func_map().find(cell.first);
       if (fit == sema_->func_map().end() || fit->second == nullptr) {
@@ -394,7 +249,7 @@ void PointsTo::Solve() {
       if (cell.second < 0) {
         node = RetNode(fn);
       } else if (static_cast<size_t>(cell.second) < fn->params.size()) {
-        node = VarNode(fn->params[static_cast<size_t>(cell.second)], fn);
+        node = VarNode(fn->params[static_cast<size_t>(cell.second)]);
       }
       if (node < 0) {
         continue;
@@ -406,14 +261,7 @@ void PointsTo::Solve() {
         }
       }
     }
-    gen_origins_.clear();
   }
-
-  // Warm start: adopt the previous solution outside the dirty region. Every
-  // seeded fact is re-derivable from clean constraints, so the fixpoint
-  // below converges to exactly the cold least fixpoint — it just skips
-  // re-deriving what the seeds already state.
-  SeedFromPrev();
 
   // Fixpoint: propagate function sets along edges; expand indirect sites.
   bool changed = true;
@@ -421,17 +269,12 @@ void PointsTo::Solve() {
     changed = false;
     ++iterations_;
     for (size_t n = 0; n < edges_.size(); ++n) {
-      for (size_t j = 0; j < edges_[n].size(); ++j) {
-        size_t dst = static_cast<size_t>(edges_[n][j]);
+      for (int d : edges_[n]) {
+        size_t dst = static_cast<size_t>(d);
         for (int f : node_funcs_[n]) {
           if (node_funcs_[dst].insert(f).second) {
             changed = true;
             ++propagations_;
-            if (track_) {
-              node_origins_[dst].insert(node_origins_[n].begin(), node_origins_[n].end());
-              const std::vector<int>& eo = edge_origins_[n][j];
-              node_origins_[dst].insert(eo.begin(), eo.end());
-            }
           }
         }
       }
@@ -453,22 +296,10 @@ void PointsTo::Solve() {
         if (target == nullptr) {
           continue;
         }
-        // Derived constraints: generated on behalf of the site's caller,
-        // conditional on the callee cell's contents — both go into the
-        // origin stamp so a later edit to either re-derives the bindings.
-        cur_fn_ = site.caller;
-        if (track_) {
-          gen_origins_.clear();
-          gen_origins_.push_back(OriginId(
-              site.caller != nullptr ? site.caller->name : std::string(kGlobalsOrigin)));
-          const std::set<int>& co = node_origins_[static_cast<size_t>(site.callee_node)];
-          gen_origins_.insert(gen_origins_.end(), co.begin(), co.end());
-        }
         for (size_t i = 0; i < site.args.size() && i < target->params.size(); ++i) {
-          FlowInto(site.args[i], VarNode(target->params[i], target));
+          FlowInto(site.args[i], VarNode(target->params[i]));
         }
         AddEdge(RetNode(target), site.ret_node);
-        cur_fn_ = nullptr;
       }
     }
   }
@@ -488,32 +319,6 @@ void PointsTo::Solve() {
               [](const FuncDecl* a, const FuncDecl* b) { return a->name < b->name; });
     resolved_[site.call] = std::move(targets);
   }
-}
-
-PointsToSnapshot PointsTo::Snapshot() const {
-  PointsToSnapshot out;
-  if (!track_) {
-    return out;
-  }
-  for (size_t n = 0; n < node_keys_.size(); ++n) {
-    if (node_keys_[n].empty() || node_funcs_[n].empty()) {
-      continue;
-    }
-    PointsToCellSnap snap;
-    for (int fid : node_funcs_[n]) {
-      const FuncDecl* f = funcs_by_id_[static_cast<size_t>(fid)];
-      if (f != nullptr) {
-        snap.funcs.push_back(f->name);
-      }
-    }
-    std::sort(snap.funcs.begin(), snap.funcs.end());
-    for (int o : node_origins_[n]) {
-      snap.origins.push_back(origin_names_[static_cast<size_t>(o)]);
-    }
-    std::sort(snap.origins.begin(), snap.origins.end());
-    out[node_keys_[n]] = std::move(snap);
-  }
-  return out;
 }
 
 const std::vector<const FuncDecl*>& PointsTo::TargetsOf(const Expr* call) const {

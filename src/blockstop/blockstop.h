@@ -61,10 +61,8 @@ struct BlockStopReport {
   int64_t indirect_target_total = 0;
   int runtime_checks = 0;  // functions carrying assert_nonatomic (noblock)
   int context_rounds = 0;  // fixpoint rounds the strategy needed
-  // Functions the may-block fixpoint actually (re-)evaluated. A seeded
-  // incremental run evaluates only the affected call-graph region, so this
-  // is the solver counter the session's dirty-region tests assert on.
-  // Strategy- and seed-dependent observability; findings never depend on it.
+  // Functions the may-block fixpoint evaluated: the solver-effort counter.
+  // Strategy-dependent observability; findings never depend on it.
   int64_t mayblock_evals = 0;
   // Link-stage exports (AnalysisSession::RunLinked). `mayblock_witness` is
   // the per-function witness under the final may-block set — what an
@@ -94,17 +92,6 @@ class BlockStop {
   // graph's DefinedFuncs()) driven by `wq`, which may be null for a
   // one-shard sharder. Byte-identical findings to Run().
   BlockStopReport Run(const FunctionSharder& sharder, WorkQueue* wq);
-
-  // Incremental may-block memoization (AnalysisSession). `clean` holds the
-  // defined-function names with no call path into the edited region;
-  // `prev_mayblock` the previous run's may-block names. Clean functions
-  // adopt their previous bit and the propagation fixpoint evaluates only the
-  // affected region. Exact, not heuristic: a clean function's reachable
-  // callee subtree is unchanged (bodies, attributes and resolved callee
-  // lists), so its may-block bit cannot have changed. Both pointers must
-  // outlive Run(); pass nullptrs to return to the cold fixpoint.
-  void SeedMayBlock(const std::set<std::string>* clean,
-                    const std::set<std::string>* prev_mayblock);
 
   // True if `fn` may (transitively) block. Valid after Run().
   bool MayBlock(const FuncDecl* fn) const { return mayblock_.count(fn) != 0; }
@@ -157,16 +144,9 @@ class BlockStop {
                 std::vector<std::pair<const Expr*, IrqState>>* out) const;
   std::string WitnessFor(const FuncDecl* fn) const;
 
-  // True if `fn`'s may-block bit is frozen by the incremental seed.
-  bool SeededClean(const FuncDecl* fn) const {
-    return seed_clean_ != nullptr && seed_clean_->count(fn->name) != 0;
-  }
-
   const Program* prog_;
   const Sema* sema_;
   const CallGraph* cg_;
-  const std::set<std::string>* seed_clean_ = nullptr;
-  const std::set<std::string>* seed_prev_mayblock_ = nullptr;
   int64_t mayblock_evals_ = 0;
   std::set<const FuncDecl*> mayblock_;
   std::map<const FuncDecl*, std::string> witness_;

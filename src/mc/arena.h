@@ -1,21 +1,17 @@
 // Arena storage for the Mini-C AST: chunked node slabs with stable addresses
 // and dense uint32_t ids, a bump allocator for child-list arrays, and a
-// string interner with per-id content hashes.
+// deduplicating string interner.
 //
 // Design (see docs/ARCHITECTURE.md "Frontend"):
 //   - Expr/Stmt/VarDecl nodes live in per-kind slabs of fixed-size chunks.
 //     Addresses never move, so consumers keep using plain pointers, while
 //     every node also carries its slab index (`id`) — the typed handles
 //     ExprId/StmtId/DeclId below. Ids are assigned in parse order, so they
-//     are deterministic given the source bytes, and all nodes of one
-//     function occupy one contiguous id range (FuncDecl::{expr,stmt,decl}_
-//     {begin,end}) — the "slab span" that fingerprinting iterates linearly
-//     and that serializes as four integers.
+//     are deterministic given the source bytes.
 //   - Child lists (call args, block bodies) are arena-allocated arrays, not
 //     std::vectors: one bump allocation per list, nothing to destruct.
 //   - Identifier/string spellings are interned: nodes hold a string_view
-//     into arena-owned bytes plus a dense StrId; the interner keeps one
-//     content hash per id so fingerprints mix string content in O(1).
+//     into arena-owned bytes plus a dense StrId, one copy per spelling.
 //   - Everything a slab or the bump arena owns is trivially destructible
 //     (static_asserted in ast.h), so dropping the arena frees the whole AST
 //     in O(chunks) — error-path parses cannot leak by construction.
@@ -32,12 +28,6 @@
 #include <vector>
 
 namespace ivy {
-
-// FNV-1a parameters — the one pair of constants every hash in the frontend
-// and incremental layer (string interning, fingerprints, callee-list hashes)
-// derives from.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
 // Sentinel for "no node" / "no string" in id space.
 constexpr uint32_t kNoNode = 0xFFFFFFFFu;
@@ -58,22 +48,6 @@ struct DeclId {
   uint32_t v = kNoNode;
   bool valid() const { return v != kNoNode; }
 };
-
-// Length-tagged FNV-1a over string content. The value the interner caches
-// per StrId and the only way string content enters a fingerprint.
-inline uint64_t StrContentHash(std::string_view s) {
-  uint64_t h = kFnvOffset;
-  uint64_t n = s.size();
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<uint8_t>(n >> (i * 8));
-    h *= kFnvPrime;
-  }
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Chunked byte arena for child-list arrays and interned string bytes.
 // Addresses are stable; nothing is ever freed individually.
@@ -153,8 +127,7 @@ class NodeSlab {
   std::vector<std::unique_ptr<T[]>> chunks_;
 };
 
-// An interned string: a stable view of the bytes plus the dense id whose
-// content hash the interner caches.
+// An interned string: a stable view of the bytes plus its dense id.
 struct StrRef {
   std::string_view view;
   uint32_t id = kNoStr;
@@ -163,16 +136,15 @@ struct StrRef {
 // Immutable snapshot of an interner's state, shareable across arenas. The
 // FrontendCache takes one right after the prelude parse of the first module
 // compile; every later module seeds its interner from it, so prelude
-// identifier bytes are stored (and hashed) once per session instead of once
-// per module. Ids are preserved exactly: seeding is equivalent to re-
-// interning the same strings in the same order.
+// identifier bytes are stored once per session instead of once per module.
+// Ids are preserved exactly: seeding is equivalent to re-interning the same
+// strings in the same order.
 struct InternSnapshot {
   std::string bytes;  // concatenated string contents (stable once built)
   std::vector<std::pair<uint32_t, uint32_t>> spans;  // (offset, length) per id
-  std::vector<uint64_t> hashes;                      // content hash per id
 };
 
-// Deduplicating string interner with per-id content hashes.
+// Deduplicating string interner.
 class StringInterner {
  public:
   explicit StringInterner(BumpArena* bytes) : bytes_(bytes) {}
@@ -185,13 +157,11 @@ class StringInterner {
     std::string_view stored = bytes_->CopyString(s);
     uint32_t id = static_cast<uint32_t>(views_.size());
     views_.push_back(stored);
-    hashes_.push_back(StrContentHash(stored));
     map_.emplace(stored, id);
     return StrRef{stored, id};
   }
 
   std::string_view View(uint32_t id) const { return views_[id]; }
-  uint64_t Hash(uint32_t id) const { return hashes_[id]; }
   uint32_t size() const { return static_cast<uint32_t>(views_.size()); }
 
   // Seeds this (empty) interner from a snapshot. The snapshot's byte buffer
@@ -201,7 +171,6 @@ class StringInterner {
       return;
     }
     views_.reserve(base->spans.size());
-    hashes_ = base->hashes;
     for (const auto& [off, len] : base->spans) {
       std::string_view v(base->bytes.data() + off, len);
       map_.emplace(v, static_cast<uint32_t>(views_.size()));
@@ -223,14 +192,12 @@ class StringInterner {
                                static_cast<uint32_t>(v.size()));
       snap->bytes.append(v);
     }
-    snap->hashes = hashes_;
     return snap;
   }
 
  private:
   BumpArena* bytes_;
   std::vector<std::string_view> views_;
-  std::vector<uint64_t> hashes_;
   std::unordered_map<std::string_view, uint32_t> map_;
   std::shared_ptr<const InternSnapshot> base_;  // keeps seeded bytes alive
 };

@@ -190,12 +190,6 @@ StmtList Program::MakeStmtList(const std::vector<Stmt*>& v) {
   return list;
 }
 
-void Program::MarkExprsNoRefs(uint32_t begin) {
-  for (uint32_t i = begin; i < arena_.exprs.size(); ++i) {
-    arena_.exprs.At(i)->no_refs = true;
-  }
-}
-
 const Type* Program::IntType() {
   if (int_type_ == nullptr) {
     int_type_ = NewType(TypeKind::kInt);

@@ -3,10 +3,9 @@
 // Nodes are "fat" tagged structs stored in per-module arena slabs owned by
 // Program (src/mc/arena.h). Every Expr/Stmt/VarDecl carries its dense slab
 // index (`id`), assigned in parse order: consumers traverse via the embedded
-// pointers as before, while fingerprinting and the span machinery iterate
-// the slabs linearly through the typed ExprId/StmtId/DeclId handles. The
-// tree survives for the whole pipeline (sema annotates it in place; lowering,
-// the points-to analysis and the analyses all read it). Nodes are trivially
+// pointers, and the typed ExprId/StmtId/DeclId handles convert an id back to
+// its node. The tree survives for the whole pipeline (sema annotates it in
+// place; lowering, the points-to analysis and the analyses all read it). Nodes are trivially
 // destructible — identifier spellings are interned string_views into arena
 // bytes and child lists are arena arrays — so an abandoned (error-path)
 // parse frees completely when the Program drops its arena.
@@ -93,8 +92,7 @@ struct Expr {
 
   int64_t int_val = 0;
   // Identifier spelling, string value, or member name: a view into the
-  // module's interned string bytes, plus the interner id whose content hash
-  // fingerprinting mixes in O(1).
+  // module's interned string bytes, plus its interner id.
   std::string_view str_val;
   uint32_t str_id = kNoStr;
   Expr* a = nullptr;
@@ -107,10 +105,6 @@ struct Expr {
   bool is_arrow = false;
   bool is_inc = false;
   bool is_prefix = false;
-  // Annotation / const-evaluated subtree: identifiers here are not "name
-  // references" for dirty-bit purposes (parity with the old recursive
-  // fingerprint walk, which skipped these subtrees when collecting refs).
-  bool no_refs = false;
   const Type* cast_type = nullptr;  // kCast / kSizeof(type)
 
   // Sema results.
@@ -145,7 +139,6 @@ enum class StmtKind {
 // A variable declaration (local or global).
 struct VarDecl {
   std::string_view name;       // interned
-  uint32_t name_id = kNoStr;
   uint32_t id = kNoNode;       // own index in the VarDecl slab (DeclId{id})
   const Type* type = nullptr;
   Expr* init = nullptr;
@@ -193,7 +186,6 @@ struct Symbol {
   // Lowering results.
   int64_t frame_offset = -1;   // locals/params: offset in the VM stack frame
   int64_t global_addr = 0;     // globals: absolute address in VM memory
-  int local_id = -1;           // dense per-function numbering (analysis cells)
 };
 
 // Function attributes (BlockStop / ErrCheck / trust annotations, §2.3, §3.1).
@@ -230,14 +222,6 @@ struct FuncDecl {
   int func_id = -1;     // dense program-wide id
   // Set by lowering: total bytes of locals + params (StackCheck input).
   int64_t frame_size = 0;
-
-  // Slab span: every Expr/Stmt/VarDecl of this function's definition lives
-  // in the half-open id ranges below (parse allocates function bodies
-  // contiguously; sema never allocates nodes). The span is the unit the
-  // linear fingerprint walks, and serializes as six integers.
-  uint32_t expr_begin = 0, expr_end = 0;
-  uint32_t stmt_begin = 0, stmt_end = 0;
-  uint32_t decl_begin = 0, decl_end = 0;
 };
 
 // Node + list + string storage for one module's AST. Dropping it frees the
@@ -285,11 +269,8 @@ class Program {
   uint32_t stmt_count() const { return arena_.stmts.size(); }
   uint32_t decl_count() const { return arena_.decls.size(); }
 
-  // String interning. StrHash is the cached content hash fingerprints mix.
+  // String interning.
   StrRef Intern(std::string_view s) { return arena_.interner.Intern(s); }
-  uint64_t StrHash(uint32_t str_id) const {
-    return arena_.interner.Hash(str_id);
-  }
   const StringInterner& interner() const { return arena_.interner; }
   void SeedInterner(std::shared_ptr<const InternSnapshot> base) {
     arena_.interner.Seed(std::move(base));
@@ -298,10 +279,6 @@ class Program {
   // Copies a scratch vector into an arena-owned array.
   ExprList MakeExprList(const std::vector<Expr*>& v);
   StmtList MakeStmtList(const std::vector<Stmt*>& v);
-
-  // Marks every Expr allocated since `begin` as an annotation/const-eval
-  // node (excluded from reference collection; see Expr::no_refs).
-  void MarkExprsNoRefs(uint32_t begin);
 
   const AstArena& arena() const { return arena_; }
 

@@ -139,7 +139,7 @@ void Parser::ParsePtrAnnots(PtrAnnot* annot) {
         Advance();
         Expect(Tok::kLParen, "after 'count'");
         annot->bounds = BoundsKind::kCount;
-        annot->count = ParseNoRefExpr([&] { return ParseExpr(); });
+        annot->count = ParseExpr();
         Expect(Tok::kRParen, "after count expression");
         break;
       }
@@ -147,9 +147,9 @@ void Parser::ParsePtrAnnots(PtrAnnot* annot) {
         Advance();
         Expect(Tok::kLParen, "after 'bound'");
         annot->bounds = BoundsKind::kBound;
-        annot->lo = ParseNoRefExpr([&] { return ParseExpr(); });
+        annot->lo = ParseExpr();
         Expect(Tok::kComma, "in bound()");
-        annot->hi = ParseNoRefExpr([&] { return ParseExpr(); });
+        annot->hi = ParseExpr();
         Expect(Tok::kRParen, "after bound expressions");
         break;
       }
@@ -189,7 +189,7 @@ const Type* Parser::ParseType() {
 const Type* Parser::ParseArraySuffix(const Type* base) {
   const Type* t = base;
   if (Accept(Tok::kLBracket)) {
-    Expr* len = ParseNoRefExpr([&] { return ParseExpr(); });
+    Expr* len = ParseExpr();
     int64_t n = 0;
     if (!EvalConstInt(len, &n) || n <= 0) {
       diags_->Error(len != nullptr ? len->loc : Cur().loc,
@@ -379,7 +379,7 @@ void Parser::ParseEnum() {
     SourceLoc loc = Cur().loc;
     Advance();
     if (Accept(Tok::kAssign)) {
-      Expr* e = ParseNoRefExpr([&] { return ParseCond(); });
+      Expr* e = ParseCond();
       int64_t v = 0;
       if (!EvalConstInt(e, &v)) {
         diags_->Error(loc, "enum value must be constant", "parse");
@@ -438,7 +438,7 @@ FuncAttrs Parser::ParseFuncAttrs() {
         Advance();
         Expect(Tok::kLParen, "after 'errcode'");
         do {
-          Expr* e = ParseNoRefExpr([&] { return ParseCond(); });
+          Expr* e = ParseCond();
           int64_t v = 0;
           if (EvalConstInt(e, &v)) {
             attrs.errcodes.push_back(v);
@@ -456,11 +456,6 @@ FuncAttrs Parser::ParseFuncAttrs() {
 }
 
 void Parser::ParseFuncOrGlobal() {
-  // Taken before the return type: its annotation expressions belong to the
-  // function's slab span if this turns out to be a function.
-  func_expr_mark_ = prog_->expr_count();
-  func_stmt_mark_ = prog_->stmt_count();
-  func_decl_mark_ = prog_->decl_count();
   SourceLoc loc = Cur().loc;
   const Type* base = ParseType();
   if (!At(Tok::kIdent)) {
@@ -553,14 +548,6 @@ void Parser::ParseFuncRest(const Type* ret, const std::string& name, SourceLoc l
   } else {
     Expect(Tok::kSemi, "after function declaration");
   }
-  // Every node of this function occupies the contiguous id ranges between
-  // the ParseFuncOrGlobal marks and here (sema allocates no nodes).
-  fn->expr_begin = func_expr_mark_;
-  fn->expr_end = prog_->expr_count();
-  fn->stmt_begin = func_stmt_mark_;
-  fn->stmt_end = prog_->stmt_count();
-  fn->decl_begin = func_decl_mark_;
-  fn->decl_end = prog_->decl_count();
   prog_->funcs.push_back(fn);
 }
 

@@ -83,28 +83,14 @@ class Parser {
   Expr* ParsePrimary();
   bool EvalConstInt(Expr* e, int64_t* out) const;
 
-  // Interns `s` into the program arena and stores the view + interner id on
-  // the node.
+  // Interns `s` into the program arena and stores the view (+ interner id,
+  // for expressions) on the node.
   void SetStr(Expr* e, const std::string& s) {
     StrRef r = prog_->Intern(s);
     e->str_val = r.view;
     e->str_id = r.id;
   }
-  void SetName(VarDecl* d, const std::string& s) {
-    StrRef r = prog_->Intern(s);
-    d->name = r.view;
-    d->name_id = r.id;
-  }
-  // Parses an annotation / const-evaluated expression: everything allocated
-  // by `body()` is marked Expr::no_refs (not a name reference for dirty-bit
-  // purposes; see src/mc/ast.h).
-  template <typename F>
-  Expr* ParseNoRefExpr(F&& body) {
-    uint32_t mark = prog_->expr_count();
-    Expr* e = body();
-    prog_->MarkExprsNoRefs(mark);
-    return e;
-  }
+  void SetName(VarDecl* d, const std::string& s) { d->name = prog_->Intern(s).view; }
 
   Program* prog_;
   std::vector<Token> owned_tokens_;           // set by the by-value ctor
@@ -112,12 +98,6 @@ class Parser {
   DiagEngine* diags_;
   size_t pos_ = 0;
   int anon_union_count_ = 0;
-  // Slab-span marks taken at ParseFuncOrGlobal entry (before the return type,
-  // whose annotation expressions belong to the function). ParseFuncRest turns
-  // them into the FuncDecl's {expr,stmt,decl}_{begin,end} ranges.
-  uint32_t func_expr_mark_ = 0;
-  uint32_t func_stmt_mark_ = 0;
-  uint32_t func_decl_mark_ = 0;
   // Parameter name seen in the last blocking_if(...) attribute; resolved to a
   // parameter index once the full parameter list is known.
   std::string blocking_if_name_;

@@ -315,7 +315,6 @@ void Sema::CheckAnnotTypeInScope(const Type* t, SourceLoc loc) {
 
 void Sema::CheckFunction(FuncDecl* fn) {
   cur_fn_ = fn;
-  next_local_id_ = 0;
   trusted_depth_ = fn->attrs.trusted ? 1 : 0;
   // Kernel calling convention: records travel by pointer, never by value.
   if (fn->type->ret != nullptr && fn->type->ret->IsRecord()) {
@@ -333,7 +332,6 @@ void Sema::CheckFunction(FuncDecl* fn) {
     if (!p->name.empty()) {
       Declare(p->name, p);
     }
-    p->local_id = next_local_id_++;
   }
   // Parameter annotations (e.g. `char* count(n) buf, int n`) may refer to
   // sibling parameters, so resolve them after all are in scope.
@@ -381,7 +379,6 @@ void Sema::CheckStmt(Stmt* s) {
       sym->type = d->type;
       sym->var = d;
       sym->loc = d->loc;
-      sym->local_id = next_local_id_++;
       d->sym = sym;
       if (d->init != nullptr) {
         CheckExpr(d->init);

@@ -100,7 +100,6 @@ class Sema {
   FuncDecl* cur_fn_ = nullptr;
   int trusted_depth_ = 0;
   int loop_depth_ = 0;
-  int next_local_id_ = 0;
 };
 
 }  // namespace ivy

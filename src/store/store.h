@@ -21,9 +21,8 @@
 //                               rejects the whole file (stale recipe)
 //   u32  module_count
 //        per module:            name, source digest, sources, and — when
-//                               `analyzed` — the incremental snapshot
-//                               (preamble/function/signature fingerprints,
-//                               import signature, link name sets) plus the
+//                               `analyzed` — the link-stage state (import
+//                               signature, link name sets) plus the
 //                               module's unstamped canonical findings
 //   u32  summary_count
 //        per row:               module, function, FuncSummary::Canonical()
@@ -57,11 +56,13 @@ namespace ivy {
 
 inline constexpr uint8_t kStoreMagic0 = 0xA7;
 inline constexpr uint8_t kStoreMagic1 = 0xD5;
-// v2: function fingerprints switched to the linear arena-slab hash
-// (src/analysis/fingerprint.h) — old stored fingerprints are incomparable.
+// v2: function fingerprints switched to a linear arena-slab hash — old
+// stored fingerprints are incomparable.
 // v3: import signatures are built from the session's row index in sorted
 // name order, with stack facts split out (AnalysisSession::ImportSignatures).
-inline constexpr uint8_t kStoreVersion = 3;
+// v4: the per-module preamble and function fingerprint tables are gone
+// (every module analysis is one cold solve; nothing read them).
+inline constexpr uint8_t kStoreVersion = 4;
 inline constexpr uint8_t kStoreFlagLinked = 1u << 0;
 inline constexpr uint8_t kStoreFlagConverged = 1u << 1;
 inline constexpr size_t kStoreHeaderSize = 4;
@@ -69,7 +70,7 @@ inline constexpr size_t kStoreHeaderSize = 4;
 inline constexpr uint64_t kMaxStoreBytes = 256ull << 20;
 
 // One module's persisted state. When `analyzed` is false only the sources
-// are meaningful (the module was dirty at save time — its snapshot fields
+// are meaningful (the module was dirty at save time — its analysis fields
 // are written zeroed and it re-analyzes cold on load).
 struct StoreModule {
   std::string name;
@@ -79,9 +80,6 @@ struct StoreModule {
   bool analyzed = false;
   bool ok = false;  // compiled successfully (false: compile_errors applies)
   std::string compile_errors;
-  uint64_t preamble_fp = 0;
-  // function name -> (full fingerprint, signature fingerprint)
-  std::map<std::string, std::pair<uint64_t, uint64_t>> func_fps;
   std::string import_sig;
   bool has_link_names = false;
   std::vector<std::string> defined_names;

@@ -10,13 +10,7 @@ AnalysisContext::~AnalysisContext() = default;
 const PointsTo& AnalysisContext::pointsto() {
   std::call_once(pt_once_, [this] {
     pt_ = std::make_unique<PointsTo>(&comp_->prog, comp_->sema.get(), field_sensitive_);
-    if (incremental_) {
-      pt_->EnableIncremental(hints_ != nullptr ? hints_->pointsto_prev : nullptr,
-                             hints_ != nullptr ? &hints_->pointsto_dirty : nullptr);
-    }
-    if (hints_ != nullptr && hints_->pointsto_link != nullptr) {
-      pt_->SetLinkSeeds(hints_->pointsto_link);
-    }
+    pt_->SetLinkSeeds(link_seeds_);
     pt_->Solve();
     pt_builds_.fetch_add(1);
   });

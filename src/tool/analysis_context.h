@@ -11,18 +11,14 @@
 // Two session hooks ride on the context:
 //   - AttachPool: a shared WorkQueue the sharded passes use instead of
 //     constructing one pool each (TaskGroup keeps their waits isolated).
-//   - incremental hints: AnalysisSession's dirty-tracking layer. When set
-//     before the first pointsto() demand, the solve warm-starts from the
-//     previous module snapshot and re-derives only the dirty region; the
-//     BlockStop pass picks up the may-block seed the same way.
+//   - SetLinkSeeds: the link stage's imported escape facts, seeded into the
+//     points-to solve.
 #ifndef SRC_TOOL_ANALYSIS_CONTEXT_H_
 #define SRC_TOOL_ANALYSIS_CONTEXT_H_
 
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <string>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/pointsto.h"
@@ -32,24 +28,6 @@ namespace ivy {
 
 class Machine;
 class WorkQueue;
-
-// What AnalysisSession learned from previous runs of the same module, keyed
-// entirely by names so it survives recompilation. Owned by the session; the
-// context only points at it (must outlive the analyses).
-struct IncrementalHints {
-  // Points-to warm start: the previous solution and the constraint origins
-  // (function names) whose constraints changed.
-  const PointsToSnapshot* pointsto_prev = nullptr;
-  std::set<std::string> pointsto_dirty;
-  // BlockStop may-block memoization: functions with no call path into the
-  // edited region, and the previous run's may-block set.
-  bool has_blockstop_seed = false;
-  std::set<std::string> blockstop_clean;
-  std::set<std::string> blockstop_prev_mayblock;
-  // Cross-module link seeds for the points-to solve (the session's import of
-  // other modules' escape facts). Not owned; must outlive the solve.
-  const PointsToLinkSeeds* pointsto_link = nullptr;
-};
 
 class AnalysisContext {
  public:
@@ -87,13 +65,10 @@ class AnalysisContext {
   void AttachPool(WorkQueue* pool) { pool_ = pool; }
   WorkQueue* pool() const { return pool_; }
 
-  // Incremental session support. Tracking makes pointsto() record cell keys
-  // and constraint origins (so its Snapshot() works); hints additionally
-  // warm-start it. Both must be set before the first pointsto() demand.
-  void EnableIncrementalTracking() { incremental_ = true; }
-  bool incremental_tracking() const { return incremental_; }
-  void SetIncrementalHints(const IncrementalHints* hints) { hints_ = hints; }
-  const IncrementalHints* incremental_hints() const { return hints_; }
+  // Cross-module link seeds for the points-to solve (AnalysisSession's
+  // import of other modules' escape facts). Not owned; must be set before
+  // the first pointsto() demand and outlive the solve.
+  void SetLinkSeeds(const PointsToLinkSeeds* seeds) { link_seeds_ = seeds; }
 
   int pointsto_builds() const { return pt_builds_.load(); }
   int callgraph_builds() const { return cg_builds_.load(); }
@@ -103,8 +78,7 @@ class AnalysisContext {
   bool field_sensitive_;
   const Machine* vm_ = nullptr;
   WorkQueue* pool_ = nullptr;
-  bool incremental_ = false;
-  const IncrementalHints* hints_ = nullptr;
+  const PointsToLinkSeeds* link_seeds_ = nullptr;
 
   std::once_flag pt_once_;
   std::once_flag cg_once_;

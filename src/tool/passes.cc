@@ -164,13 +164,6 @@ class BlockStopPass : public ToolPass {
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
     BlockStop bs(&ctx.prog(), &ctx.sema(), &cg);
-    // Session-provided incremental seed: freeze the may-block bits of
-    // functions outside the edited call-graph region (exact memoization;
-    // findings stay byte-identical to a cold run).
-    const IncrementalHints* hints = ctx.incremental_hints();
-    if (hints != nullptr && hints->has_blockstop_seed) {
-      bs.SeedMayBlock(&hints->blockstop_clean, &hints->blockstop_prev_mayblock);
-    }
     FunctionSharder sharder = ShardFor(cg, options());
     PoolRef pool = PoolFor(ctx, sharder);
     BlockStopReport report = bs.Run(sharder, pool.pool);
@@ -187,8 +180,8 @@ class BlockStopPass : public ToolPass {
     r.SetMetric("violations", static_cast<int64_t>(report.violations.size()));
     r.SetMetric("silenced", static_cast<int64_t>(report.silenced.size()));
     r.SetMetric("runtime_checks", report.runtime_checks);
-    // Solver observability (rounds of the context BFS, evals that shrink
-    // under an incremental seed); findings never depend on either.
+    // Solver observability (rounds of the context BFS, may-block
+    // evaluations); findings never depend on either.
     r.SetMetric("context_rounds", report.context_rounds);
     r.SetMetric("mayblock_evals", report.mayblock_evals);
     r.set_summary(report.ToString());

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/analysis/fingerprint.h"
 #include "src/blockstop/blockstop.h"
 #include "src/errcheck/errcheck.h"
 #include "src/locksafe/locksafe.h"
@@ -179,10 +178,8 @@ bool FindDefinition(const std::string& text, const std::string& name, size_t* ou
 // AnalysisSession
 // ---------------------------------------------------------------------------
 
-AnalysisSession::AnalysisSession(Pipeline pipeline, bool track_incremental)
-    : pipeline_(std::move(pipeline)),
-      track_incremental_(track_incremental),
-      cancel_(std::make_shared<std::atomic<bool>>(false)) {}
+AnalysisSession::AnalysisSession(Pipeline pipeline)
+    : pipeline_(std::move(pipeline)), cancel_(std::make_shared<std::atomic<bool>>(false)) {}
 
 AnalysisSession::~AnalysisSession() = default;
 
@@ -297,34 +294,8 @@ WorkQueue* AnalysisSession::pool() {
 void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
   Compilation* comp = st->comp.get();
 
-  // Per-function dirty bits: fingerprint the fresh AST, diff against the
-  // last successful analysis. Everything is keyed by name, so the diff
-  // survives the wholesale AST replacement a recompile is. One-shot
-  // sessions (track_incremental off) skip the bookkeeping entirely.
-  uint64_t preamble = 0;
-  std::map<std::string, uint64_t> fps;
-  std::map<std::string, uint64_t> sigs;
-  std::map<std::string, std::set<std::string>> refs;
-  if (track_incremental_) {
-    const uint64_t fp_t0 = MonotonicNowNs();
-    preamble = FingerprintPreamble(comp->prog);
-    for (const auto& [fname, fn] : comp->sema->func_map()) {
-      if (fn->body == nullptr || fn->func_id < 0) {
-        continue;
-      }
-      FunctionFingerprint fingerprint = FingerprintFunctionFull(comp->prog, fn);
-      std::string key(fname);
-      fps[key] = fingerprint.full;
-      sigs[key] = fingerprint.sig;
-      refs[key] = std::move(fingerprint.refs);
-    }
-    trace::GetHistogram("frontend.fingerprint_us")->Record((MonotonicNowNs() - fp_t0) / 1000);
-  }
-
   // Cross-module imports: seed this compilation's AST (and the points-to
-  // solve) with the current fact table. The fingerprints above were taken
-  // first — imports are not source edits; the import signature below is
-  // what detects their changes.
+  // solve) with the current fact table.
   std::set<std::string> defined_names;
   std::set<std::string> extern_refs;
   for (const auto& [fname, fn] : comp->sema->func_map()) {
@@ -344,106 +315,9 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
     link_table_.ApplyAttributes(&comp->prog, iopts);
   }
 
-  // Warm only when sources AND imports are unchanged-compatible: the
-  // function-granular machinery is exact for source diffs, but imported
-  // facts are invisible to fingerprints, so any import change re-solves the
-  // module cold (module granularity is the link stage's incremental unit).
-  bool warm = track_incremental_ && st->have_snapshot && preamble == st->preamble_fp &&
-              import_sig == st->import_sig;
-  std::set<std::string> dirty_funcs;
-  if (warm) {
-    // Changed/added bodies...
-    std::set<std::string> renamed;  // added, removed, or signature-changed
-    for (const auto& [fname, fp] : fps) {
-      auto it = st->func_fps.find(fname);
-      if (it == st->func_fps.end()) {
-        dirty_funcs.insert(fname);
-        renamed.insert(fname);
-      } else if (it->second != fp) {
-        dirty_funcs.insert(fname);
-        if (st->sig_fps[fname] != sigs[fname]) {
-          renamed.insert(fname);
-        }
-      }
-    }
-    // ...removed functions...
-    for (const auto& [fname, fp] : st->func_fps) {
-      if (fps.count(fname) == 0) {
-        dirty_funcs.insert(fname);
-        renamed.insert(fname);
-      }
-    }
-    // ...and functions whose name resolution changed: an unchanged body that
-    // references an added/removed/re-signed function generates different
-    // constraints, so it is dirty too.
-    if (!renamed.empty()) {
-      for (const auto& [fname, names] : refs) {
-        if (dirty_funcs.count(fname) != 0) {
-          continue;
-        }
-        for (const std::string& r : renamed) {
-          if (names.count(r) != 0) {
-            dirty_funcs.insert(fname);
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  st->hints = IncrementalHints{};
-  if (warm) {
-    st->hints.pointsto_prev = &st->pt_snapshot;
-    st->hints.pointsto_dirty = dirty_funcs;
-  }
-  if (!st->link_seeds.empty()) {
-    st->hints.pointsto_link = &st->link_seeds;
-  }
   st->ctx = pipeline_.MakeContext(comp);
-  if (track_incremental_) {
-    st->ctx->EnableIncrementalTracking();
-  }
-  st->ctx->SetIncrementalHints(&st->hints);
+  st->ctx->SetLinkSeeds(&st->link_seeds);
   st->ctx->AttachPool(pool());
-
-  // Warm the analyses the pipeline will need. Doing the call graph here (not
-  // inside RunTools) lets the BlockStop seed be scoped to the affected
-  // region before any pass runs.
-  bool need_pt = false;
-  bool need_cg = false;
-  for (const std::string& step : pipeline_.Plan()) {
-    need_pt |= step == "analysis:pointsto";
-    need_cg |= step == "analysis:callgraph";
-  }
-  std::map<std::string, uint64_t> new_callees;
-  if (need_cg) {
-    const CallGraph& cg = st->ctx->callgraph();
-    new_callees = cg.CalleeNameHashes();
-    if (warm && st->have_mayblock) {
-      // The edited region: fingerprint-dirty functions plus clean-bodied
-      // functions whose resolved callee lists changed (an edit elsewhere
-      // retargeted one of their indirect sites). Everything that can reach
-      // the region is affected; everything else keeps its may-block bit.
-      std::set<const FuncDecl*> changed;
-      for (const FuncDecl* fn : cg.DefinedFuncs()) {
-        auto it = st->callee_hashes.find(fn->name);
-        if (dirty_funcs.count(fn->name) != 0 || it == st->callee_hashes.end() ||
-            it->second != new_callees[fn->name]) {
-          changed.insert(fn);
-        }
-      }
-      std::set<const FuncDecl*> affected = cg.AncestorsOf(changed);
-      st->hints.has_blockstop_seed = true;
-      for (const FuncDecl* fn : cg.DefinedFuncs()) {
-        if (affected.count(fn) == 0) {
-          st->hints.blockstop_clean.insert(fn->name);
-        }
-      }
-      st->hints.blockstop_prev_mayblock = st->prev_mayblock;
-    }
-  } else if (need_pt) {
-    st->ctx->pointsto();
-  }
 
   st->result = pipeline_.RunTools(*st->ctx);
   st->ok = true;
@@ -451,23 +325,17 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
 
   st->stats = ModuleStats{};
   st->stats.valid = true;
-  st->stats.cold = !warm;
-  st->stats.dirty_functions = warm ? static_cast<int>(dirty_funcs.size()) : -1;
-  // Warm-vs-cold solve accounting for --metrics: how often the incremental
-  // machinery actually pays off across a session's lifetime.
   if (trace::Enabled()) {
-    trace::GetCounter(warm ? "session.solve_warm" : "session.solve_cold")->Add();
+    trace::GetCounter("session.solve_cold")->Add();
   }
   if (st->ctx->pointsto_builds() > 0) {
-    const PointsTo& pt = st->ctx->pointsto();
-    st->stats.pointsto_propagations = pt.solve_propagations();
-    st->stats.pointsto_seeded_facts = pt.seeded_facts();
+    st->stats.pointsto_propagations = st->ctx->pointsto().solve_propagations();
   }
   if (const ToolResult* r = st->result.ResultFor("blockstop")) {
     st->stats.mayblock_evals = r->Metric("mayblock_evals");
   }
 
-  // Refresh the snapshots the next incremental run diffs against.
+  // What the link stage compares the next analysis against.
   st->import_sig = std::move(import_sig);
   st->memo_key = std::move(memo_key);
   if (!st->have_link_names || defined_names != st->defined_names ||
@@ -477,25 +345,6 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
     st->link_names_changed = true;
   }
   st->have_link_names = true;
-  st->have_snapshot = false;
-  st->have_mayblock = false;
-  if (track_incremental_) {
-    st->preamble_fp = preamble;
-    st->func_fps = std::move(fps);
-    st->sig_fps = std::move(sigs);
-    st->func_refs = std::move(refs);
-    st->callee_hashes = std::move(new_callees);
-    if (st->ctx->pointsto_builds() > 0) {
-      st->pt_snapshot = st->ctx->pointsto().Snapshot();
-      st->have_snapshot = true;
-    }
-    if (const ToolResult* r = st->result.ResultFor("blockstop")) {
-      if (const BlockStopReport* report = r->DetailAs<BlockStopReport>()) {
-        st->prev_mayblock = report->mayblock;
-        st->have_mayblock = true;
-      }
-    }
-  }
   st->dirty = false;
 }
 
@@ -522,8 +371,6 @@ bool AnalysisSession::AnalyzeDirty() {
     if (!st->comp->ok) {
       st->ok = false;
       st->compile_errors = st->comp->Errors();
-      st->have_snapshot = false;
-      st->have_mayblock = false;
       st->stats = ModuleStats{};
       st->dirty = false;  // until the sources change again
       continue;
@@ -1453,8 +1300,8 @@ PipelineRun AnalysisSession::TakeModule(const std::string& name) {
   }
   ModuleState& st = *it->second;
   if (st.ctx != nullptr) {
-    // The session (hints storage, pool) will not outlive these artifacts.
-    st.ctx->SetIncrementalHints(nullptr);
+    // The session (link seeds storage, pool) will not outlive these artifacts.
+    st.ctx->SetLinkSeeds(nullptr);
     st.ctx->AttachPool(nullptr);
   }
   run.comp = std::move(st.comp);
@@ -1470,7 +1317,7 @@ PipelineRun AnalysisSession::TakeModule(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 PipelineRun Pipeline::CompileAndRun(const std::vector<SourceFile>& files) const {
-  AnalysisSession session(*this, /*track_incremental=*/false);
+  AnalysisSession session(*this);
   session.AddModule("", files);
   session.Run();
   return session.TakeModule("");

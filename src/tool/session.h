@@ -3,8 +3,7 @@
 //
 // A session owns a corpus of named modules, one shared worker pool for every
 // sharded pass kernel (TaskGroup isolation instead of one pool per pass),
-// a frontend cache that lexes the prelude once for the whole corpus, and a
-// dirty-tracking layer over AnalysisContext:
+// and a frontend cache that lexes the prelude once for the whole corpus:
 //
 //   AnalysisSession session = PipelineBuilder()
 //                                 .AllTools()
@@ -13,23 +12,19 @@
 //                                 .BuildSession();
 //   SessionResult cold = session.Run();          // analyzes every module
 //   session.ReplaceFunction("net", "udp_sendmsg", edited_definition);
-//   SessionResult warm = session.Run();          // re-analyzes only "net",
-//                                                // re-solving only the
-//                                                // edited region inside it
+//   SessionResult again = session.Run();         // re-analyzes only "net"
 //
 // Determinism contract (extends PR 2's): the merged findings are
 // byte-identical regardless of module registration order, shard count, pool
 // size, and cold-vs-incremental execution. Modules merge in sorted-name
-// order; within a module the pipeline's request-order merge applies; the
-// incremental machinery (points-to warm start, BlockStop may-block
-// memoization) is exact, not heuristic — see src/analysis/pointsto.h.
+// order; within a module the pipeline's request-order merge applies.
 //
-// Incremental granularity: a module is the re-analysis unit (clean modules'
-// cached results are reused verbatim); within a re-analyzed module,
-// per-function dirty bits (src/analysis/fingerprint.h) scope the points-to
-// re-solve to the constraints whose origins changed and freeze the may-block
-// bits of functions with no call path into the edit. ModuleStats exposes the
-// solver counters so tests can assert the dirty region stayed small.
+// Incremental granularity: the module. A clean module's cached result is
+// reused verbatim; a dirty module is recompiled and analyzed with one cold
+// solve per analysis. Across modules, RunLinked()'s link memo serves a
+// module's exported rows whole when its sources and row-relevant imports
+// are unchanged. ModuleStats exposes the solver counters of each module's
+// last analysis.
 #ifndef SRC_TOOL_SESSION_H_
 #define SRC_TOOL_SESSION_H_
 
@@ -114,22 +109,16 @@ struct DistributedLinkOptions {
       run_worker;
 };
 
-// Solver-effort counters from a module's most recent analysis — how much of
-// it the incremental layer actually re-derived.
+// Solver-effort counters from a module's most recent analysis.
 struct ModuleStats {
   bool valid = false;   // module exists and was analyzed at least once
-  bool cold = true;     // last analysis was a full re-solve
-  int dirty_functions = -1;  // fingerprint-dirty functions (-1 when cold)
   int64_t pointsto_propagations = 0;
-  int64_t pointsto_seeded_facts = 0;
   int64_t mayblock_evals = 0;
 };
 
 class AnalysisSession {
  public:
-  // `track_incremental` keeps the name-keyed snapshots that warm later
-  // Run()s; the one-shot CompileAndRun shim turns it off.
-  explicit AnalysisSession(Pipeline pipeline, bool track_incremental = true);
+  explicit AnalysisSession(Pipeline pipeline);
   ~AnalysisSession();
 
   AnalysisSession(AnalysisSession&&) = default;
@@ -145,17 +134,14 @@ class AnalysisSession {
   void AddModule(ModuleSources module);
   bool RemoveModule(const std::string& name);
 
-  // Marks a module for re-analysis. Cached snapshots are kept, so the next
-  // Run() recomputes per-function dirty bits against the (possibly edited)
-  // sources and re-solves only the affected region.
+  // Marks a module for re-analysis: the next Run() recompiles it and
+  // analyzes it cold.
   void Invalidate(const std::string& name);
 
   // Textually replaces one top-level function definition inside the
   // module's sources with `new_definition` (a complete definition including
   // signature and body) and invalidates the module. Returns false if the
-  // module or a definition of `function` was not found. Dirty bits are
-  // derived from AST fingerprints at Run() time, so the edit's blast radius
-  // is measured, never assumed.
+  // module or a definition of `function` was not found.
   bool ReplaceFunction(const std::string& module, const std::string& function,
                        const std::string& new_definition);
 
@@ -220,7 +206,7 @@ class AnalysisSession {
                              std::string* err);
 
   // Persistent warm start (src/store/store.h). SaveStore snapshots every
-  // module's sources + incremental state + findings and the link table;
+  // module's sources + link-stage state + findings and the link table;
   // LoadStore restores them into a fresh session, so the next RunLinked()
   // costs ≈ one incremental relink (one idle round when nothing changed)
   // and produces byte-identical findings. LoadStore returns false — and
@@ -325,9 +311,9 @@ class AnalysisSession {
   std::set<std::string> DirtyModules(const LinkDelta& delta);
   // The import signatures of a module with the given name sets against the
   // current table. `full` covers every imported row the analysis reads,
-  // stack facts included (the warm-start gate and the findings check);
-  // `rows` leaves out the stack facts (the memo key). Analyze and the memo
-  // lookup both call this, so the two can never disagree.
+  // stack facts included (the findings check); `rows` leaves out the stack
+  // facts (the memo key). Analyze and the memo lookup both call this, so the
+  // two can never disagree.
   void ImportSignatures(const std::string& importer, const std::set<std::string>& defined,
                         const std::set<std::string>& externs, std::string* full,
                         std::string* rows) const;
@@ -370,7 +356,6 @@ class AnalysisSession {
   std::set<std::string> LinkedComponentOf(const std::set<std::string>& roots);
 
   Pipeline pipeline_;
-  bool track_incremental_;
   FrontendCache cache_;
   // shared_ptr, not a member atomic: the session stays movable, and
   // RequestCancel() from another thread races only with the atomic load,
@@ -379,7 +364,7 @@ class AnalysisSession {
   std::unique_ptr<WorkQueue> pool_;
   // std::map: sorted iteration is what makes every merge order-independent
   // of registration order. Node stability also keeps ModuleState addresses
-  // (and the IncrementalHints the contexts point at) valid across inserts.
+  // (and the link seeds the contexts point at) valid across inserts.
   std::map<std::string, std::unique_ptr<ModuleState>> modules_;
   // The link stage's fact table and its outcome counters. The table holds
   // only summary rows; per-module facts/findings stay with the modules and

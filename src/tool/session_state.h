@@ -45,25 +45,11 @@ struct AnalysisSession::ModuleState {
   bool analyzed_now = false;  // re-analyzed during the current Run()
   std::string compile_errors;
 
-  // Name-keyed snapshots from the last successful analysis: the inputs to
-  // the next run's dirty bits and warm starts.
-  bool have_snapshot = false;
-  uint64_t preamble_fp = 0;
-  std::map<std::string, uint64_t> func_fps;
-  std::map<std::string, uint64_t> sig_fps;
-  std::map<std::string, std::set<std::string>> func_refs;
-  PointsToSnapshot pt_snapshot;
-  std::map<std::string, uint64_t> callee_hashes;
-  bool have_mayblock = false;
-  std::set<std::string> prev_mayblock;
-
   // Link stage. `import_sig` is the full import signature of the last
-  // analysis (AnalysisSession::ImportSignatures): when it changes, the
-  // module re-solves cold — imported facts are invisible to the source
-  // fingerprints, so the function-granular warm machinery must not run
-  // across an import change. `memo_key` is the same analysis' row-relevant
-  // signature. `link_seeds` is the storage the context's IncrementalHints
-  // point at.
+  // analysis (AnalysisSession::ImportSignatures): the findings check
+  // compares it with the converged table's. `memo_key` is the same
+  // analysis' row-relevant signature. `link_seeds` is the storage the
+  // context's points-to solve reads the imported escape facts from.
   std::string import_sig;
   std::string memo_key;
   PointsToLinkSeeds link_seeds;
@@ -81,9 +67,8 @@ struct AnalysisSession::ModuleState {
 
   ModuleStats stats;
 
-  // Declaration order matters: `ctx` points into `hints` and `comp`, so it
-  // must be destroyed first.
-  IncrementalHints hints;
+  // Declaration order matters: `ctx` points into `link_seeds` and `comp`,
+  // so it must be destroyed first.
   std::unique_ptr<Compilation> comp;
   std::unique_ptr<AnalysisContext> ctx;
   PipelineResult result;

@@ -147,11 +147,6 @@ StoreFile AnalysisSession::BuildStoreSnapshot(bool linked, bool converged) const
     if (m.analyzed) {
       m.ok = st->ok;
       m.compile_errors = st->compile_errors;
-      m.preamble_fp = st->preamble_fp;
-      for (const auto& [fname, fp] : st->func_fps) {
-        auto sig = st->sig_fps.find(fname);
-        m.func_fps[fname] = {fp, sig != st->sig_fps.end() ? sig->second : 0};
-      }
       m.import_sig = st->import_sig;
       m.has_link_names = st->have_link_names;
       m.defined_names.assign(st->defined_names.begin(), st->defined_names.end());
@@ -198,30 +193,13 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
   }
 
   const bool keep_names = !rec.has_link_names && st->have_link_names;
-  // Destroy the live context before touching the snapshot/hint storage it
-  // points into (hints.pointsto_prev → pt_snapshot, link seeds).
+  // Destroy the live context before touching the link seeds it points into.
   st->ctx.reset();
   st->comp.reset();
   st->dirty = false;
   st->ok = rec.ok;
   st->analyzed_now = false;
   st->compile_errors = rec.compile_errors;
-  // The in-memory solver snapshots (points-to deltas, may-block memo) are
-  // not persisted: the next source edit re-solves this module cold, which
-  // the warm gate (have_snapshot) makes exact by construction.
-  st->have_snapshot = false;
-  st->have_mayblock = false;
-  st->prev_mayblock.clear();
-  st->pt_snapshot = PointsToSnapshot{};
-  st->callee_hashes.clear();
-  st->func_refs.clear();
-  st->preamble_fp = rec.preamble_fp;
-  st->func_fps.clear();
-  st->sig_fps.clear();
-  for (const auto& [fname, fp] : rec.func_fps) {
-    st->func_fps[fname] = fp.first;
-    st->sig_fps[fname] = fp.second;
-  }
   st->import_sig = rec.import_sig;
   st->memo_key.clear();
   st->memo.clear();
@@ -238,7 +216,6 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
         std::set<std::string>(rec.extern_refs.begin(), rec.extern_refs.end());
   }
   st->stats = ModuleStats{};
-  st->hints = IncrementalHints{};
   st->result = PipelineResult{};
   st->result.findings = std::move(findings);
   return true;

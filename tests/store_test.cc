@@ -86,9 +86,6 @@ StoreFile SampleStore() {
   a.source_digest = SourcesDigest(a.files);
   a.analyzed = true;
   a.ok = true;
-  a.preamble_fp = 0xfeed;
-  a.func_fps["a"] = {11, 12};
-  a.func_fps["b"] = {21, 22};
   a.import_sig = "sig-bytes\x01\x02";
   a.has_link_names = true;
   a.defined_names = {"a", "b"};
@@ -126,8 +123,6 @@ TEST(StoreFormat, RoundTrip) {
   EXPECT_EQ(a.source_digest, sf.modules.at("alpha").source_digest);
   EXPECT_TRUE(a.analyzed);
   EXPECT_TRUE(a.ok);
-  EXPECT_EQ(a.preamble_fp, 0xfeedu);
-  EXPECT_EQ(a.func_fps, sf.modules.at("alpha").func_fps);
   EXPECT_EQ(a.import_sig, sf.modules.at("alpha").import_sig);
   EXPECT_TRUE(a.has_link_names);
   EXPECT_EQ(a.defined_names, sf.modules.at("alpha").defined_names);
@@ -166,10 +161,15 @@ TEST(StoreFormat, BadHeaderRejected) {
     std::string err;
     EXPECT_FALSE(DecodeStore(bad, &out, &err)) << "header byte " << byte;
   }
+  // The previous version (3, with fingerprint tables) is rejected strictly.
+  std::string old_version = good;
+  old_version[2] = static_cast<char>(3);
+  std::string err;
+  EXPECT_FALSE(DecodeStore(old_version, &out, &err));
+  EXPECT_NE(err.find("unsupported store version 3"), std::string::npos) << err;
   // Unknown flag bits are a format extension signal, not noise to ignore.
   std::string bad = good;
   bad[3] = static_cast<char>(bad[3] | 0x80);
-  std::string err;
   EXPECT_FALSE(DecodeStore(bad, &out, &err));
 }
 
