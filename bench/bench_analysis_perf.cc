@@ -720,20 +720,31 @@ ivy::Json StoreBenchJson(const std::string& out_path) {
   std::remove(spath.c_str());
   std::vector<ivy::ModuleSources> corpus = LinkedBenchCorpus();
 
+  // SaveStore and LoadStore are also timed on their own: the store codec's
+  // share of the cold run and of the restart.
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::vector<double> save_ms;
+  std::vector<double> load_ms;
+
   ivy::SessionResult cold_result;
   int cold_rounds = 0;
   double cold_ms = MedianMs(
-      [&corpus, &cold_result, &cold_rounds, &spath] {
+      [&corpus, &cold_result, &cold_rounds, &spath, &save_ms] {
         ivy::PipelineBuilder b = LinkedSessionPipeline();
         b.ForEachModule(corpus);
         ivy::AnalysisSession fresh = b.BuildSession();
         cold_result = fresh.RunLinked();
         cold_rounds = fresh.link_stats().rounds;
         std::string err;
+        const uint64_t save_t0 = ivy::MonotonicNowNs();
         if (!fresh.SaveStore(spath, &err)) {
           std::fprintf(stderr, "FATAL: store bench SaveStore: %s\n", err.c_str());
           std::abort();
         }
+        save_ms.push_back(ivy::ElapsedMsSince(save_t0));
       },
       3);
 
@@ -747,15 +758,17 @@ ivy::Json StoreBenchJson(const std::string& out_path) {
   int warm_rounds = 0;
   int warm_analyses = 0;
   double warm_ms = MedianMs(
-      [&corpus, &warm_result, &warm_rounds, &warm_analyses, &spath] {
+      [&corpus, &warm_result, &warm_rounds, &warm_analyses, &spath, &load_ms] {
         ivy::PipelineBuilder b = LinkedSessionPipeline();
         b.ForEachModule(corpus);
         ivy::AnalysisSession restarted = b.BuildSession();
         std::string err;
+        const uint64_t load_t0 = ivy::MonotonicNowNs();
         if (!restarted.LoadStore(spath, &err)) {
           std::fprintf(stderr, "FATAL: store bench LoadStore: %s\n", err.c_str());
           std::abort();
         }
+        load_ms.push_back(ivy::ElapsedMsSince(load_t0));
         warm_result = restarted.RunLinked();
         warm_rounds = restarted.link_stats().rounds;
         warm_analyses = restarted.link_stats().module_analyses;
@@ -776,15 +789,17 @@ ivy::Json StoreBenchJson(const std::string& out_path) {
   st["cold_linked_us"] = ivy::Json::MakeInt(static_cast<int64_t>(cold_ms * 1000));
   st["rounds_cold"] = ivy::Json::MakeInt(cold_rounds);
   st["store_bytes"] = ivy::Json::MakeInt(store_bytes);
+  st["save_us"] = ivy::Json::MakeInt(static_cast<int64_t>(median(save_ms) * 1000));
+  st["load_us"] = ivy::Json::MakeInt(static_cast<int64_t>(median(load_ms) * 1000));
   st["warm_restart_us"] = ivy::Json::MakeInt(static_cast<int64_t>(warm_ms * 1000));
   st["rounds_warm"] = ivy::Json::MakeInt(warm_rounds);
   st["warm_module_analyses"] = ivy::Json::MakeInt(warm_analyses);
   st["identical_to_cold"] = ivy::Json::MakeBool(true);
   std::fprintf(stderr,
                "BENCH store: cold=%.1fms (%d rounds) warm_restart=%.1fms "
-               "(%d rounds, 0 analyses) store=%lld bytes\n",
+               "(%d rounds, 0 analyses) store=%lld bytes save=%.1fms load=%.1fms\n",
                cold_ms, cold_rounds, warm_ms, warm_rounds,
-               static_cast<long long>(store_bytes));
+               static_cast<long long>(store_bytes), median(save_ms), median(load_ms));
   return st;
 }
 

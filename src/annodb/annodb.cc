@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "src/ccount/layouts.h"
-#include "src/support/numbers.h"
+#include "src/support/field_list.h"
 #include "src/tool/analysis_context.h"
 #include "src/tool/pipeline.h"
 
@@ -67,75 +67,43 @@ AnnoDb AnnoDb::Extract(AnalysisContext& ctx, const PipelineResult* pipeline) {
 
 namespace {
 
-Json StringsToJson(const std::vector<std::string>& v) {
-  Json arr = Json::MakeArray();
-  for (const std::string& s : v) {
-    arr.Append(Json::MakeString(s));
+// The field list of a summary row: the one place that names its fields,
+// their JSON keys and presence rules (src/support/field_list.h). The row
+// kind comes first — the branch below reads it, and it makes the binary
+// encoding's first byte 0 or 1, which keeps a row distinct from the '@'
+// entries AnalysisSession::ImportSignatures writes between rows.
+template <typename Row, typename V>
+void SummaryFields(Row& s, V& v) {
+  v.Bool("defined", s.defined);
+  v.Str("module", s.module);
+  v.Str("function", s.function);
+  if (s.defined) {
+    v.Bool("may_block", s.may_block);
+    v.OptStr("block_witness", s.block_witness);
+    v.Bool("blocking", s.blocking);
+    v.Bool("noblock", s.noblock);
+    v.Int("blocking_if_param", s.blocking_if_param);
+    v.Bool("returns_error", s.returns_error);
+    v.OptInts("errcodes", s.errcodes);
+    v.Int("frame_size", s.frame_size);
+    v.OptStrs("callees", s.callees);
+    v.OptStrs("returns_points", s.returns_points);
+    v.OptStrs("locks_acquired", s.locks_acquired);
+    v.NonNeg("stack_below", s.stack_below);
+    v.Flag("cross_recursive", s.cross_recursive);
+  } else {
+    v.Bool("entered_atomic", s.entered_atomic);
+    v.Bool("entered_in_irq", s.entered_in_irq);
+    v.IndexMap("param_points", s.param_points);
   }
-  return arr;
-}
-
-std::vector<std::string> StringsFromJson(const Json* j) {
-  std::vector<std::string> out;
-  if (j != nullptr) {
-    for (const Json& s : j->array()) {
-      out.push_back(s.AsString());
-    }
-  }
-  return out;
 }
 
 }  // namespace
 
 Json FuncSummary::ToJson() const {
-  Json j = Json::MakeObject();
-  j["module"] = Json::MakeString(module);
-  j["function"] = Json::MakeString(function);
-  j["defined"] = Json::MakeBool(defined);
-  if (defined) {
-    j["may_block"] = Json::MakeBool(may_block);
-    if (!block_witness.empty()) {
-      j["block_witness"] = Json::MakeString(block_witness);
-    }
-    j["blocking"] = Json::MakeBool(blocking);
-    j["noblock"] = Json::MakeBool(noblock);
-    j["blocking_if_param"] = Json::MakeInt(blocking_if_param);
-    j["returns_error"] = Json::MakeBool(returns_error);
-    if (!errcodes.empty()) {
-      Json errs = Json::MakeArray();
-      for (int64_t e : errcodes) {
-        errs.Append(Json::MakeInt(e));
-      }
-      j["errcodes"] = std::move(errs);
-    }
-    j["frame_size"] = Json::MakeInt(frame_size);
-    if (!callees.empty()) {
-      j["callees"] = StringsToJson(callees);
-    }
-    if (!returns_points.empty()) {
-      j["returns_points"] = StringsToJson(returns_points);
-    }
-    if (!locks_acquired.empty()) {
-      j["locks_acquired"] = StringsToJson(locks_acquired);
-    }
-    if (stack_below >= 0) {
-      j["stack_below"] = Json::MakeInt(stack_below);
-    }
-    if (cross_recursive) {
-      j["cross_recursive"] = Json::MakeBool(true);
-    }
-  } else {
-    j["entered_atomic"] = Json::MakeBool(entered_atomic);
-    j["entered_in_irq"] = Json::MakeBool(entered_in_irq);
-    if (!param_points.empty()) {
-      Json pp = Json::MakeObject();
-      for (const auto& [idx, names] : param_points) {
-        pp[std::to_string(idx)] = StringsToJson(names);
-      }
-      j["param_points"] = std::move(pp);
-    }
-  }
-  return j;
+  JsonFieldWriter v;
+  SummaryFields(*this, v);
+  return v.Take();
 }
 
 FuncSummary FuncSummary::FromJson(const Json& j) {
@@ -146,74 +114,38 @@ FuncSummary FuncSummary::FromJson(const Json& j) {
 }
 
 bool FuncSummary::FromJson(const Json& j, FuncSummary* out, std::string* error) {
-  FuncSummary& s = *out;
-  if (const Json* v = j.Find("module")) {
-    s.module = v->AsString();
-  }
-  if (const Json* v = j.Find("function")) {
-    s.function = v->AsString();
-  }
-  if (const Json* v = j.Find("defined")) {
-    s.defined = v->AsBool();
-  }
-  if (const Json* v = j.Find("may_block")) {
-    s.may_block = v->AsBool();
-  }
-  if (const Json* v = j.Find("block_witness")) {
-    s.block_witness = v->AsString();
-  }
-  if (const Json* v = j.Find("blocking")) {
-    s.blocking = v->AsBool();
-  }
-  if (const Json* v = j.Find("noblock")) {
-    s.noblock = v->AsBool();
-  }
-  if (const Json* v = j.Find("blocking_if_param")) {
-    s.blocking_if_param = static_cast<int>(v->AsInt(-1));
-  }
-  if (const Json* v = j.Find("returns_error")) {
-    s.returns_error = v->AsBool();
-  }
-  if (const Json* v = j.Find("errcodes")) {
-    for (const Json& e : v->array()) {
-      s.errcodes.push_back(e.AsInt());
+  JsonFieldReader v(j);
+  SummaryFields(*out, v);
+  if (!v.error().empty()) {
+    if (error != nullptr) {
+      *error = v.error() + " in summary row " + out->module + ":" + out->function;
     }
-  }
-  if (const Json* v = j.Find("frame_size")) {
-    s.frame_size = v->AsInt();
-  }
-  s.callees = StringsFromJson(j.Find("callees"));
-  s.returns_points = StringsFromJson(j.Find("returns_points"));
-  s.locks_acquired = StringsFromJson(j.Find("locks_acquired"));
-  if (const Json* v = j.Find("stack_below")) {
-    s.stack_below = v->AsInt(-1);
-  }
-  if (const Json* v = j.Find("cross_recursive")) {
-    s.cross_recursive = v->AsBool();
-  }
-  if (const Json* v = j.Find("entered_atomic")) {
-    s.entered_atomic = v->AsBool();
-  }
-  if (const Json* v = j.Find("entered_in_irq")) {
-    s.entered_in_irq = v->AsBool();
-  }
-  if (const Json* v = j.Find("param_points")) {
-    for (const auto& [key, names] : v->object()) {
-      // The writer emits std::to_string(idx) keys; anything else ("abc",
-      // "01", "7x") used to atoi-alias onto parameter 0 and corrupt the
-      // imported escape sets. 4095 comfortably exceeds any real arity.
-      int idx = 0;
-      if (!ParseIndexStrict(key, 4095, &idx)) {
-        if (error != nullptr) {
-          *error = "bad param_points index \"" + key + "\" in summary row " +
-                   s.module + ":" + s.function;
-        }
-        return false;
-      }
-      s.param_points[idx] = StringsFromJson(&names);
-    }
+    return false;
   }
   return true;
+}
+
+void FuncSummary::Encode(WireWriter* w) const {
+  BinaryFieldWriter v(w);
+  SummaryFields(*this, v);
+}
+
+std::string FuncSummary::Encode() const {
+  WireWriter w;
+  Encode(&w);
+  return w.Take();
+}
+
+bool FuncSummary::Decode(WireReader* r, FuncSummary* out) {
+  *out = FuncSummary{};
+  BinaryFieldReader v(r);
+  SummaryFields(*out, v);
+  return r->ok();
+}
+
+bool FuncSummary::Decode(const std::string& bytes, FuncSummary* out) {
+  WireReader r(bytes);
+  return Decode(&r, out) && r.Finish();
 }
 
 Json AnnoDb::ToJson() const {

@@ -87,6 +87,13 @@ struct FuncSummary {
   bool entered_in_irq = false;
   std::map<int, std::vector<std::string>> param_points;  // param idx -> fn names
 
+  // Both forms below derive from one field list (annodb.cc), which names
+  // each field, its JSON key and its presence rule: definer-only fields on
+  // definer rows, usage-only fields on usage rows, empty strings and lists
+  // absent, `stack_below < 0` absent, `cross_recursive` absent when false.
+  //
+  // The JSON form, rendered only at the edges (annodb JSON, annolink
+  // stdout, annodb_query, epoch snapshots and the wire).
   Json ToJson() const;
   static FuncSummary FromJson(const Json& j);
   // Strict variant: returns false (with a diagnostic in *error) for
@@ -95,9 +102,21 @@ struct FuncSummary {
   // parameter 0. On failure *out holds the fields parsed so far; callers
   // must discard it.
   static bool FromJson(const Json& j, FuncSummary* out, std::string* error);
-  // Canonical byte form — what the link fixpoint diffs and import
-  // signatures hash. Json objects are sorted maps, so this is stable.
+  // The JSON text, compact. Json objects are sorted maps, so this is stable.
   std::string Canonical() const { return ToJson().Dump(-1); }
+
+  // The canonical binary form — what the store holds and the link stage
+  // diffs and concatenates into import signatures. It carries exactly the
+  // fields the JSON emits, under the same presence rules, so two rows have
+  // equal encodings exactly when they have equal JSON. The encoding is
+  // self-delimiting and starts with the row-kind byte (0 or 1). Decode is
+  // strict: it accepts only bytes Encode produces, and on failure *out must
+  // be discarded.
+  void Encode(WireWriter* w) const;
+  std::string Encode() const;
+  static bool Decode(WireReader* r, FuncSummary* out);
+  // Decodes one whole encoding: trailing bytes are rejected.
+  static bool Decode(const std::string& bytes, FuncSummary* out);
 };
 
 class AnnoDb {

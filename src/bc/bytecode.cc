@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/server/wire.h"
+#include "src/support/wire_codec.h"
 #include "src/vm/builtins.h"
 
 namespace ivy {
@@ -112,30 +112,6 @@ bool GetLoc(WireReader& r, SourceLoc* loc) {
   return true;
 }
 
-void PutI64Vec(WireWriter& w, const std::vector<int64_t>& v) {
-  w.PutU32(static_cast<uint32_t>(v.size()));
-  for (int64_t x : v) {
-    w.PutU64(static_cast<uint64_t>(x));
-  }
-}
-
-bool GetI64Vec(WireReader& r, std::vector<int64_t>* out) {
-  uint32_t n = 0;
-  if (!r.GetU32(&n)) {
-    return false;
-  }
-  out->clear();
-  out->reserve(std::min<uint32_t>(n, 1u << 16));
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    if (!r.GetU64(&x)) {
-      return false;
-    }
-    out->push_back(static_cast<int64_t>(x));
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string EncodeBcImage(const BcModule& m) {
@@ -153,12 +129,12 @@ std::string EncodeBcImage(const BcModule& m) {
     w.PutU32(f.code_end);
     w.PutU32(f.num_regs);
     w.PutU64(static_cast<uint64_t>(f.frame_size));
-    PutI64Vec(w, f.param_offsets);
+    w.PutI64Vec(f.param_offsets);
     w.PutU32(static_cast<uint32_t>(f.param_sizes.size()));
     for (uint8_t s : f.param_sizes) {
       w.PutU8(s);
     }
-    PutI64Vec(w, f.ptr_slots);
+    w.PutI64Vec(f.ptr_slots);
   }
   w.PutStrVec(m.string_pool);
   w.PutU32(static_cast<uint32_t>(m.globals.size()));
@@ -166,7 +142,7 @@ std::string EncodeBcImage(const BcModule& m) {
     w.PutU64(g.addr);
     w.PutU64(static_cast<uint64_t>(g.size));
     w.PutU32(static_cast<uint32_t>(g.type_id));
-    PutI64Vec(w, g.ptr_offsets);
+    w.PutI64Vec(g.ptr_offsets);
   }
   w.PutU32(static_cast<uint32_t>(m.global_inits.size()));
   for (const GlobalInit& gi : m.global_inits) {
@@ -251,7 +227,7 @@ bool DecodeBcImage(const std::string& bytes, BcModule* out, std::string* err) {
     uint32_t nsizes = 0;
     if (!r.GetStr(&f.name) || !GetLoc(r, &f.decl_loc) || !r.GetU8(&f.defined) ||
         !r.GetU32(&f.entry_pc) || !r.GetU32(&f.code_end) || !r.GetU32(&f.num_regs) ||
-        !r.GetU64(&frame_size) || !GetI64Vec(r, &f.param_offsets) || !r.GetU32(&nsizes)) {
+        !r.GetU64(&frame_size) || !r.GetI64Vec(&f.param_offsets) || !r.GetU32(&nsizes)) {
       return fail("truncated function entry");
     }
     f.frame_size = static_cast<int64_t>(frame_size);
@@ -263,7 +239,7 @@ bool DecodeBcImage(const std::string& bytes, BcModule* out, std::string* err) {
       }
       f.param_sizes.push_back(s);
     }
-    if (!GetI64Vec(r, &f.ptr_slots)) {
+    if (!r.GetI64Vec(&f.ptr_slots)) {
       return fail("truncated function entry");
     }
     m.funcs.push_back(std::move(f));
@@ -282,7 +258,7 @@ bool DecodeBcImage(const std::string& bytes, BcModule* out, std::string* err) {
     uint64_t size = 0;
     uint32_t type_id = 0;
     if (!r.GetU64(&g.addr) || !r.GetU64(&size) || !r.GetU32(&type_id) ||
-        !GetI64Vec(r, &g.ptr_offsets)) {
+        !r.GetI64Vec(&g.ptr_offsets)) {
       return fail("truncated global entry");
     }
     g.size = static_cast<int64_t>(size);

@@ -23,7 +23,7 @@
 // kIntrinsic is the exception — it carries its loc index inline, because
 // kfree logs its call site on every execution, not just on traps.
 //
-// Images serialize with the bounds-checked LE idiom of src/server/wire.h;
+// Images serialize with the bounds-checked LE codec of src/support/wire_codec.h;
 // DecodeBcImage is total on arbitrary bytes and VerifyBcModule rejects
 // anything the interpreter would have to trust (see src/bc/verify.h).
 #ifndef SRC_BC_BYTECODE_H_

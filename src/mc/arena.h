@@ -1,17 +1,14 @@
-// Arena storage for the Mini-C AST: chunked node slabs with stable addresses
-// and dense uint32_t ids, a bump allocator for child-list arrays, and a
-// deduplicating string interner.
+// Arena storage for the Mini-C AST: chunked node slabs with stable
+// addresses, a bump allocator for child-list arrays, and a deduplicating
+// string interner.
 //
 // Design (see docs/ARCHITECTURE.md "Frontend"):
 //   - Expr/Stmt/VarDecl nodes live in per-kind slabs of fixed-size chunks.
-//     Addresses never move, so consumers keep using plain pointers, while
-//     every node also carries its slab index (`id`) — the typed handles
-//     ExprId/StmtId/DeclId below. Ids are assigned in parse order, so they
-//     are deterministic given the source bytes.
+//     Addresses never move, so consumers use plain pointers.
 //   - Child lists (call args, block bodies) are arena-allocated arrays, not
 //     std::vectors: one bump allocation per list, nothing to destruct.
 //   - Identifier/string spellings are interned: nodes hold a string_view
-//     into arena-owned bytes plus a dense StrId, one copy per spelling.
+//     into arena-owned bytes, one copy per spelling.
 //   - Everything a slab or the bump arena owns is trivially destructible
 //     (static_asserted in ast.h), so dropping the arena frees the whole AST
 //     in O(chunks) — error-path parses cannot leak by construction.
@@ -28,26 +25,6 @@
 #include <vector>
 
 namespace ivy {
-
-// Sentinel for "no node" / "no string" in id space.
-constexpr uint32_t kNoNode = 0xFFFFFFFFu;
-constexpr uint32_t kNoStr = 0xFFFFFFFFu;
-
-// Typed index handles. A handle is just the node's slab index; `kNoNode`
-// means null. Nodes store their own id, so `ExprId{e->id}` and
-// `prog.ExprAt(id)` convert both ways.
-struct ExprId {
-  uint32_t v = kNoNode;
-  bool valid() const { return v != kNoNode; }
-};
-struct StmtId {
-  uint32_t v = kNoNode;
-  bool valid() const { return v != kNoNode; }
-};
-struct DeclId {
-  uint32_t v = kNoNode;
-  bool valid() const { return v != kNoNode; }
-};
 
 // Chunked byte arena for child-list arrays and interned string bytes.
 // Addresses are stable; nothing is ever freed individually.
@@ -97,8 +74,7 @@ class BumpArena {
   size_t reserved_ = 0;
 };
 
-// A stable-address slab of T with dense uint32_t indices: nodes packed into
-// 512-element chunks (id -> chunk[id >> 9][id & 511]).
+// A stable-address slab of T: nodes packed into 512-element chunks.
 template <typename T>
 class NodeSlab {
  public:
@@ -115,9 +91,6 @@ class NodeSlab {
     return p;
   }
 
-  T* At(uint32_t id) { return &chunks_[id >> kChunkShift][id & kChunkMask]; }
-  const T* At(uint32_t id) const { return const_cast<NodeSlab*>(this)->At(id); }
-
   uint32_t size() const { return count_; }
 
   size_t bytes() const { return chunks_.size() * kChunkSize * sizeof(T); }
@@ -125,12 +98,6 @@ class NodeSlab {
  private:
   uint32_t count_ = 0;
   std::vector<std::unique_ptr<T[]>> chunks_;
-};
-
-// An interned string: a stable view of the bytes plus its dense id.
-struct StrRef {
-  std::string_view view;
-  uint32_t id = kNoStr;
 };
 
 // Immutable snapshot of an interner's state, shareable across arenas. The
@@ -149,16 +116,16 @@ class StringInterner {
  public:
   explicit StringInterner(BumpArena* bytes) : bytes_(bytes) {}
 
-  StrRef Intern(std::string_view s) {
+  // A stable view of the one stored copy of `s`.
+  std::string_view Intern(std::string_view s) {
     auto it = map_.find(s);
     if (it != map_.end()) {
-      return StrRef{views_[it->second], it->second};
+      return views_[it->second];
     }
     std::string_view stored = bytes_->CopyString(s);
-    uint32_t id = static_cast<uint32_t>(views_.size());
+    map_.emplace(stored, static_cast<uint32_t>(views_.size()));
     views_.push_back(stored);
-    map_.emplace(stored, id);
-    return StrRef{stored, id};
+    return stored;
   }
 
   std::string_view View(uint32_t id) const { return views_[id]; }

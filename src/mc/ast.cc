@@ -134,20 +134,16 @@ std::string TypeToString(const Type* t) {
 }
 
 Expr* Program::NewExpr(ExprKind kind, SourceLoc loc) {
-  uint32_t id = arena_.exprs.size();
   Expr* e = arena_.exprs.New();
   e->kind = kind;
   e->loc = loc;
-  e->id = id;
   return e;
 }
 
 Stmt* Program::NewStmt(StmtKind kind, SourceLoc loc) {
-  uint32_t id = arena_.stmts.size();
   Stmt* s = arena_.stmts.New();
   s->kind = kind;
   s->loc = loc;
-  s->id = id;
   return s;
 }
 
@@ -157,12 +153,7 @@ Type* Program::NewType(TypeKind kind) {
   return t;
 }
 
-VarDecl* Program::NewVarDecl() {
-  uint32_t id = arena_.decls.size();
-  VarDecl* d = arena_.decls.New();
-  d->id = id;
-  return d;
-}
+VarDecl* Program::NewVarDecl() { return arena_.decls.New(); }
 
 RecordDecl* Program::NewRecord() { return Alloc(&record_pool_); }
 FuncDecl* Program::NewFunc() { return Alloc(&func_pool_); }

@@ -1,10 +1,8 @@
 // Abstract syntax tree for Mini-C.
 //
 // Nodes are "fat" tagged structs stored in per-module arena slabs owned by
-// Program (src/mc/arena.h). Every Expr/Stmt/VarDecl carries its dense slab
-// index (`id`), assigned in parse order: consumers traverse via the embedded
-// pointers, and the typed ExprId/StmtId/DeclId handles convert an id back to
-// its node. The tree survives for the whole pipeline (sema annotates it in
+// Program (src/mc/arena.h); consumers traverse via the embedded pointers.
+// The tree survives for the whole pipeline (sema annotates it in
 // place; lowering, the points-to analysis and the analyses all read it). Nodes are trivially
 // destructible — identifier spellings are interned string_views into arena
 // bytes and child lists are arena arrays — so an abandoned (error-path)
@@ -86,15 +84,13 @@ struct StmtList {
 
 struct Expr {
   ExprKind kind = ExprKind::kIntLit;
-  uint32_t id = kNoNode;   // own index in the Expr slab (ExprId{id})
   SourceLoc loc;
   const Type* type = nullptr;  // set by sema
 
   int64_t int_val = 0;
   // Identifier spelling, string value, or member name: a view into the
-  // module's interned string bytes, plus its interner id.
+  // module's interned string bytes.
   std::string_view str_val;
-  uint32_t str_id = kNoStr;
   Expr* a = nullptr;
   Expr* b = nullptr;
   Expr* c = nullptr;
@@ -139,7 +135,6 @@ enum class StmtKind {
 // A variable declaration (local or global).
 struct VarDecl {
   std::string_view name;       // interned
-  uint32_t id = kNoNode;       // own index in the VarDecl slab (DeclId{id})
   const Type* type = nullptr;
   Expr* init = nullptr;
   Symbol* sym = nullptr;
@@ -149,7 +144,6 @@ struct VarDecl {
 
 struct Stmt {
   StmtKind kind = StmtKind::kEmpty;
-  uint32_t id = kNoNode;        // own index in the Stmt slab (StmtId{id})
   SourceLoc loc;
   Expr* expr = nullptr;         // kExpr, kReturn (nullable), conditions
   VarDecl* decl = nullptr;      // kDecl
@@ -258,19 +252,8 @@ class Program {
   FuncDecl* NewFunc();
   Symbol* NewSymbol();
 
-  // Index access: id <-> node. Ids are dense, assigned in parse order.
-  Expr* ExprAt(ExprId id) { return arena_.exprs.At(id.v); }
-  const Expr* ExprAt(ExprId id) const { return arena_.exprs.At(id.v); }
-  Stmt* StmtAt(StmtId id) { return arena_.stmts.At(id.v); }
-  const Stmt* StmtAt(StmtId id) const { return arena_.stmts.At(id.v); }
-  VarDecl* DeclAt(DeclId id) { return arena_.decls.At(id.v); }
-  const VarDecl* DeclAt(DeclId id) const { return arena_.decls.At(id.v); }
-  uint32_t expr_count() const { return arena_.exprs.size(); }
-  uint32_t stmt_count() const { return arena_.stmts.size(); }
-  uint32_t decl_count() const { return arena_.decls.size(); }
-
   // String interning.
-  StrRef Intern(std::string_view s) { return arena_.interner.Intern(s); }
+  std::string_view Intern(std::string_view s) { return arena_.interner.Intern(s); }
   const StringInterner& interner() const { return arena_.interner; }
   void SeedInterner(std::shared_ptr<const InternSnapshot> base) {
     arena_.interner.Seed(std::move(base));

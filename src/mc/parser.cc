@@ -279,10 +279,10 @@ void Parser::ParseTypedef() {
       } while (Accept(Tok::kComma));
     }
     Expect(Tok::kRParen, "after typedef parameter list");
-    prog_->typedefs[prog_->Intern(name).view] = fn;
+    prog_->typedefs[prog_->Intern(name)] = fn;
   } else {
     const Type* t = ParseArraySuffix(base);
-    prog_->typedefs[prog_->Intern(name).view] = t;
+    prog_->typedefs[prog_->Intern(name)] = t;
   }
   if (prog_->typedefs.count(name) == 0) {
     diags_->Error(loc, "typedef failed", "parse");
@@ -389,7 +389,7 @@ void Parser::ParseEnum() {
     if (prog_->enum_consts.count(name) != 0) {
       diags_->Error(loc, "duplicate enum constant '" + name + "'", "parse");
     }
-    prog_->enum_consts[prog_->Intern(name).view] = next;
+    prog_->enum_consts[prog_->Intern(name)] = next;
     ++next;
     if (!Accept(Tok::kComma)) {
       break;

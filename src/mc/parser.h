@@ -83,14 +83,9 @@ class Parser {
   Expr* ParsePrimary();
   bool EvalConstInt(Expr* e, int64_t* out) const;
 
-  // Interns `s` into the program arena and stores the view (+ interner id,
-  // for expressions) on the node.
-  void SetStr(Expr* e, const std::string& s) {
-    StrRef r = prog_->Intern(s);
-    e->str_val = r.view;
-    e->str_id = r.id;
-  }
-  void SetName(VarDecl* d, const std::string& s) { d->name = prog_->Intern(s).view; }
+  // Interns `s` into the program arena and stores the view on the node.
+  void SetStr(Expr* e, const std::string& s) { e->str_val = prog_->Intern(s); }
+  void SetName(VarDecl* d, const std::string& s) { d->name = prog_->Intern(s); }
 
   Program* prog_;
   std::vector<Token> owned_tokens_;           // set by the by-value ctor

@@ -13,16 +13,18 @@
 //   8       len   payload
 //
 // Payload encoding is a flat sequence of fixed-width LE scalars and
-// u32-length-prefixed strings (WireWriter/WireReader). Decoders are
-// bounds-checked and total: any truncated, oversized, or malformed input
-// returns false — never a crash, never an over-read (property-tested in
-// tests/wire_test.cc).
+// u32-length-prefixed strings (WireWriter/WireReader, src/support/
+// wire_codec.h). Decoders are bounds-checked and total: any truncated,
+// oversized, or malformed input returns false — never a crash, never an
+// over-read (property-tested in tests/wire_test.cc).
 //
-// Findings and summary rows travel as their *canonical JSON byte form*
-// (Finding::ToJson(nullptr).Dump(-1), FuncSummary::Canonical()) — the same
-// bytes the link fixpoint diffs and the byte-identity contract compares, so
-// "what the server returned" and "what a cold batch run produced" can be
-// diffed with memcmp.
+// Findings and summary rows travel as their canonical JSON
+// (Finding::ToJson(nullptr).Dump(-1), FuncSummary::Canonical()), by design:
+// a reply row is what a client prints or parses, so the server hands out the
+// edge form the epoch snapshot already rendered, and "what the server
+// returned" and "what a cold batch run produced" can be diffed with memcmp.
+// The store and the link stage use the binary encodings (FuncSummary::Encode,
+// Finding::Encode) instead; moving the wire to them needs a version bump.
 //
 // Version policy: a frame whose version byte differs from kWireVersion is
 // rejected before its payload is read (the length still frames it, so a
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "src/support/socket.h"
+#include "src/support/wire_codec.h"
 
 namespace ivy {
 
@@ -79,49 +82,6 @@ const char* MsgTypeName(MsgType t);
 struct Frame {
   MsgType type = MsgType::kPing;
   std::string payload;
-};
-
-// ---------------------------------------------------------------------------
-// Payload primitives
-// ---------------------------------------------------------------------------
-
-class WireWriter {
- public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutStr(const std::string& s);
-  void PutStrVec(const std::vector<std::string>& v);
-
-  std::string Take() { return std::move(buf_); }
-  const std::string& buf() const { return buf_; }
-
- private:
-  std::string buf_;
-};
-
-// Bounds-checked reader: every Get* returns false once the payload is
-// exhausted or a length prefix overruns the remaining bytes; after the first
-// failure all further reads fail too.
-class WireReader {
- public:
-  explicit WireReader(const std::string& payload) : data_(payload) {}
-
-  bool GetU8(uint8_t* out);
-  bool GetU32(uint32_t* out);
-  bool GetU64(uint64_t* out);
-  bool GetStr(std::string* out);
-  bool GetStrVec(std::vector<std::string>* out);
-
-  // True when every payload byte was consumed and nothing failed — message
-  // decoders require exact length (trailing garbage is a malformed frame).
-  bool Finish() const { return ok_ && pos_ == data_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
 };
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/server/wire.h"
+#include "src/support/wire_codec.h"
 
 namespace ivy {
 
@@ -89,20 +89,22 @@ std::string EncodeStore(const StoreFile& sf) {
       w.PutStr(fname);
       w.PutStr(text);
     }
-    w.PutU8(m.analyzed ? 1 : 0);
-    w.PutU8(m.ok ? 1 : 0);
+    w.PutBool(m.analyzed);
+    w.PutBool(m.ok);
     w.PutStr(m.compile_errors);
     w.PutStr(m.import_sig);
-    w.PutU8(m.has_link_names ? 1 : 0);
+    w.PutBool(m.has_link_names);
     w.PutStrVec(m.defined_names);
     w.PutStrVec(m.extern_refs);
-    w.PutStrVec(m.findings_canon);
+    w.PutU32(static_cast<uint32_t>(m.findings.size()));
+    for (const Finding& f : m.findings) {
+      f.Encode(&w);
+    }
   }
   w.PutU32(static_cast<uint32_t>(sf.summaries.size()));
-  for (const auto& [key, canon] : sf.summaries) {
-    w.PutStr(key.first);
-    w.PutStr(key.second);
-    w.PutStr(canon);
+  for (const auto& [key, row] : sf.summaries) {
+    (void)key;
+    row.Encode(&w);
   }
   out += w.Take();
   return out;
@@ -148,11 +150,8 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
     SetErr(err, "bad module count");
     return false;
   }
-  for (uint32_t i = 0; i < module_count && r.ok(); ++i) {
+  for (uint32_t i = 0; i < module_count; ++i) {
     StoreModule m;
-    uint8_t analyzed = 0;
-    uint8_t ok = 0;
-    uint8_t has_names = 0;
     uint32_t file_count = 0;
     if (!r.GetStr(&m.name) || !r.GetU64(&m.source_digest) ||
         !r.GetU32(&file_count) || file_count > body.size()) {
@@ -168,26 +167,30 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
       }
       m.files.emplace_back(std::move(fname), std::move(text));
     }
-    if (!r.GetU8(&analyzed) || !r.GetU8(&ok) || !r.GetStr(&m.compile_errors) ||
-        !r.GetStr(&m.import_sig) || !r.GetU8(&has_names) ||
+    uint32_t finding_count = 0;
+    if (!r.GetBool(&m.analyzed) || !r.GetBool(&m.ok) || !r.GetStr(&m.compile_errors) ||
+        !r.GetStr(&m.import_sig) || !r.GetBool(&m.has_link_names) ||
         !r.GetStrVec(&m.defined_names) || !r.GetStrVec(&m.extern_refs) ||
-        !r.GetStrVec(&m.findings_canon)) {
+        !r.GetU32(&finding_count)) {
       SetErr(err, "malformed module record");
       return false;
     }
-    if (analyzed > 1 || ok > 1 || has_names > 1) {
-      SetErr(err, "malformed module flags");
-      return false;
+    for (uint32_t f = 0; f < finding_count; ++f) {
+      Finding finding;
+      if (!Finding::Decode(&r, &finding)) {
+        SetErr(err, "malformed finding in module '" + m.name + "'");
+        return false;
+      }
+      m.findings.push_back(std::move(finding));
     }
-    m.analyzed = analyzed != 0;
-    m.ok = ok != 0;
-    m.has_link_names = has_names != 0;
-    if (m.name.empty() || out->modules.count(m.name) != 0) {
-      SetErr(err, "empty or duplicate module name in store");
+    // Strictly ascending names: no duplicates, and one byte form per store.
+    if (m.name.empty() ||
+        (!out->modules.empty() && out->modules.rbegin()->first >= m.name)) {
+      SetErr(err, "empty, duplicate or out-of-order module name in store");
       return false;
     }
     std::string key = m.name;
-    out->modules.emplace(std::move(key), std::move(m));
+    out->modules.emplace_hint(out->modules.end(), std::move(key), std::move(m));
   }
   uint32_t summary_count = 0;
   if (!r.GetU32(&summary_count) || summary_count > body.size()) {
@@ -195,14 +198,17 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
     return false;
   }
   for (uint32_t i = 0; i < summary_count; ++i) {
-    std::string module;
-    std::string function;
-    std::string canon;
-    if (!r.GetStr(&module) || !r.GetStr(&function) || !r.GetStr(&canon)) {
+    FuncSummary row;
+    if (!FuncSummary::Decode(&r, &row)) {
       SetErr(err, "malformed summary row");
       return false;
     }
-    out->summaries[{std::move(module), std::move(function)}] = std::move(canon);
+    std::pair<std::string, std::string> key{row.module, row.function};
+    if (!out->summaries.empty() && out->summaries.rbegin()->first >= key) {
+      SetErr(err, "duplicate or out-of-order summary row " + key.first + ":" + key.second);
+      return false;
+    }
+    out->summaries.emplace_hint(out->summaries.end(), std::move(key), std::move(row));
   }
   if (!r.Finish()) {
     SetErr(err, "trailing bytes after store payload");

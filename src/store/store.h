@@ -12,7 +12,7 @@
 //   1       1     magic1 = 0xD5        (store; the wire protocol is 0xDB)
 //   2       1     version = kStoreVersion
 //   3       1     flags (bit0 = linked, bit1 = converged; others reserved)
-//   4       ...   body: WireWriter-encoded sections (src/server/wire.h)
+//   4       ...   body: WireWriter-encoded sections (src/support/wire_codec.h)
 //
 // Body encoding:
 //
@@ -23,14 +23,23 @@
 //        per module:            name, source digest, sources, and — when
 //                               `analyzed` — the link-stage state (import
 //                               signature, link name sets) plus the
-//                               module's unstamped canonical findings
+//                               module's unstamped findings, each as
+//                               Finding::Encode
 //   u32  summary_count
-//        per row:               module, function, FuncSummary::Canonical()
+//        per row:               FuncSummary::Encode (the row's module and
+//                               function are its key)
+//
+// Findings and summary rows are typed in memory (Finding, FuncSummary) and
+// their canonical binary encodings on disk (src/support/field_list.h):
+// DecodeStore decodes each record exactly once, and JSON appears only where
+// a tool renders them. Modules and rows
+// are written in ascending key order and the decoder requires it, so an
+// accepted file re-encodes to the same bytes.
 //
 // Every field of a module record is always written (zeroed when
 // !analyzed), so the decoder is total: fixed schema, no optional sections.
-// Decoders are bounds-checked in the wire.h style — truncated, oversized,
-// or mutated input returns false, never a crash (fuzzed in
+// Decoders are bounds-checked in the wire_codec.h style — truncated,
+// oversized, or mutated input returns false, never a crash (fuzzed in
 // tests/store_test.cc).
 //
 // Version policy: strict. kStoreVersion bumps on any schema change and a
@@ -52,6 +61,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/annodb/annodb.h"
+#include "src/tool/finding.h"
+
 namespace ivy {
 
 inline constexpr uint8_t kStoreMagic0 = 0xA7;
@@ -62,7 +74,10 @@ inline constexpr uint8_t kStoreMagic1 = 0xD5;
 // name order, with stack facts split out (AnalysisSession::ImportSignatures).
 // v4: the per-module preamble and function fingerprint tables are gone
 // (every module analysis is one cold solve; nothing read them).
-inline constexpr uint8_t kStoreVersion = 4;
+// v5: findings and summary rows are typed records in their binary encodings
+// (Finding::Encode, FuncSummary::Encode) instead of JSON strings, and
+// modules and rows must appear in ascending key order.
+inline constexpr uint8_t kStoreVersion = 5;
 inline constexpr uint8_t kStoreFlagLinked = 1u << 0;
 inline constexpr uint8_t kStoreFlagConverged = 1u << 1;
 inline constexpr size_t kStoreHeaderSize = 4;
@@ -84,9 +99,9 @@ struct StoreModule {
   bool has_link_names = false;
   std::vector<std::string> defined_names;
   std::vector<std::string> extern_refs;
-  // Unstamped canonical finding JSON (Finding::ToJson(nullptr).Dump(-1)),
-  // exactly what the session caches per module.
-  std::vector<std::string> findings_canon;
+  // Unstamped findings (Finding::module empty), exactly what the session
+  // caches per module.
+  std::vector<Finding> findings;
 };
 
 struct StoreFile {
@@ -95,8 +110,8 @@ struct StoreFile {
   bool converged = false;  // table reached its fixpoint; false after a
                            // mid-run crash — loaders re-derive from scratch
   std::map<std::string, StoreModule> modules;
-  // (module, function) -> FuncSummary::Canonical()
-  std::map<std::pair<std::string, std::string>, std::string> summaries;
+  // (module, function) -> the row, stack facts included.
+  std::map<std::pair<std::string, std::string>, FuncSummary> summaries;
 };
 
 // In-memory encode/decode (the unit the format tests fuzz).

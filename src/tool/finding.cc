@@ -1,5 +1,6 @@
 #include "src/tool/finding.h"
 
+#include "src/support/field_list.h"
 #include "src/support/source.h"
 
 namespace ivy {
@@ -28,59 +29,62 @@ FindingSeverity SeverityFromName(const std::string& name) {
   return FindingSeverity::kWarning;
 }
 
+// The field list of a finding (src/support/field_list.h). The rendered "at"
+// location is not a field: it needs the producing compilation's
+// SourceManager, so only ToJson adds it.
+template <typename F, typename V>
+void FindingFields(F& f, V& v) {
+  v.Str("tool", f.tool);
+  v.Enum("severity", f.severity, FindingSeverity::kError, FindingSeverityName,
+         SeverityFromName);
+  v.Int("file", f.loc.file);
+  v.Int("line", f.loc.line);
+  v.Int("col", f.loc.col);
+  v.Str("message", f.message);
+  v.Strs("witness", f.witness);
+  v.OptStr("module", f.module);
+}
+
 }  // namespace
 
 Json Finding::ToJson(const SourceManager* sm) const {
-  Json j = Json::MakeObject();
-  j["tool"] = Json::MakeString(tool);
-  j["severity"] = Json::MakeString(FindingSeverityName(severity));
-  j["file"] = Json::MakeInt(loc.file);
-  j["line"] = Json::MakeInt(loc.line);
-  j["col"] = Json::MakeInt(loc.col);
+  JsonFieldWriter v;
+  FindingFields(*this, v);
+  Json j = v.Take();
   if (sm != nullptr && loc.IsValid()) {
     j["at"] = Json::MakeString(sm->Render(loc));
-  }
-  j["message"] = Json::MakeString(message);
-  Json w = Json::MakeArray();
-  for (const std::string& step : witness) {
-    w.Append(Json::MakeString(step));
-  }
-  j["witness"] = std::move(w);
-  if (!module.empty()) {
-    j["module"] = Json::MakeString(module);
   }
   return j;
 }
 
 Finding Finding::FromJson(const Json& j) {
   Finding f;
-  if (const Json* t = j.Find("tool")) {
-    f.tool = t->AsString();
-  }
-  if (const Json* s = j.Find("severity")) {
-    f.severity = SeverityFromName(s->AsString());
-  }
-  if (const Json* v = j.Find("file")) {
-    f.loc.file = static_cast<int32_t>(v->AsInt(-1));
-  }
-  if (const Json* v = j.Find("line")) {
-    f.loc.line = static_cast<int32_t>(v->AsInt());
-  }
-  if (const Json* v = j.Find("col")) {
-    f.loc.col = static_cast<int32_t>(v->AsInt());
-  }
-  if (const Json* m = j.Find("message")) {
-    f.message = m->AsString();
-  }
-  if (const Json* w = j.Find("witness")) {
-    for (const Json& step : w->array()) {
-      f.witness.push_back(step.AsString());
-    }
-  }
-  if (const Json* m = j.Find("module")) {
-    f.module = m->AsString();
-  }
+  JsonFieldReader v(j);
+  FindingFields(f, v);
   return f;
+}
+
+void Finding::Encode(WireWriter* w) const {
+  BinaryFieldWriter v(w);
+  FindingFields(*this, v);
+}
+
+std::string Finding::Encode() const {
+  WireWriter w;
+  Encode(&w);
+  return w.Take();
+}
+
+bool Finding::Decode(WireReader* r, Finding* out) {
+  *out = Finding{};
+  BinaryFieldReader v(r);
+  FindingFields(*out, v);
+  return r->ok();
+}
+
+bool Finding::Decode(const std::string& bytes, Finding* out) {
+  WireReader r(bytes);
+  return Decode(&r, out) && r.Finish();
 }
 
 std::string Finding::ToString(const SourceManager* sm) const {

@@ -22,6 +22,8 @@
 namespace ivy {
 
 class SourceManager;
+class WireReader;
+class WireWriter;
 
 enum class FindingSeverity { kNote, kWarning, kError };
 
@@ -41,10 +43,21 @@ struct Finding {
   // annotation repository retracts by this key when a module is re-analyzed.
   std::string module;
 
-  // `sm` is optional: with it the JSON carries a rendered "at" location in
-  // addition to the raw file/line/col triple.
+  // Both forms below derive from one field list (finding.cc). The JSON is
+  // the edge form; `sm` is optional: with it the JSON carries a rendered
+  // "at" location in addition to the raw file/line/col triple.
   Json ToJson(const SourceManager* sm = nullptr) const;
   static Finding FromJson(const Json& j);
+
+  // The canonical binary form the store holds: the fields of
+  // ToJson(nullptr), self-delimiting, so two findings have equal encodings
+  // exactly when they have equal JSON. Decode is strict (it accepts only
+  // bytes Encode produces); on failure *out must be discarded.
+  void Encode(WireWriter* w) const;
+  std::string Encode() const;
+  static bool Decode(WireReader* r, Finding* out);
+  // Decodes one whole encoding: trailing bytes are rejected.
+  static bool Decode(const std::string& bytes, Finding* out);
 
   std::string ToString(const SourceManager* sm = nullptr) const;
 };

@@ -635,10 +635,12 @@ void AnalysisSession::PublishLinkRows(const std::string& module,
   }
 }
 
-void AnalysisSession::LoadLinkRows(std::vector<FuncSummary> rows) {
+void AnalysisSession::LoadLinkRows(
+    std::map<std::pair<std::string, std::string>, FuncSummary>&& rows) {
   link_table_ = AnnoDb();
   link_rows_.clear();
-  for (FuncSummary& s : rows) {
+  for (auto& [key, s] : rows) {
+    (void)key;
     const int64_t stack_below = s.stack_below;
     const bool cross_recursive = s.cross_recursive;
     PutLinkRow(std::make_shared<const LinkRow>(std::move(s)), stack_below, cross_recursive,
@@ -677,7 +679,9 @@ void AnalysisSession::ImportSignatures(const std::string& importer,
                                        std::string* rows) const {
   // Exactly the rows AnnoDb::ApplyAttributes reads, in name order. `rows`
   // gets each row's stack-free bytes; `full` adds the stack facts, which
-  // only StackCheck consumes.
+  // only StackCheck consumes. A row's bytes are self-delimiting and start
+  // with 0 or 1 (FuncSummary::Encode), never '@', so each concatenation
+  // parses back one way: equal signatures mean equal imports.
   std::string full_out;
   std::string rows_out;
   auto add_stack = [&full_out](const LinkRowState& s) {

@@ -264,7 +264,7 @@ class AnalysisSession {
 
   // One row of the link table as the fixpoint diffs it: the shared export
   // bytes plus the stack facts the link stage filled in. Equal states have
-  // equal FuncSummary::Canonical() bytes.
+  // equal FuncSummary::Encode() bytes, and so equal JSON.
   struct LinkRowState {
     LinkRowPtr row;
     int64_t stack_below = -1;
@@ -304,8 +304,8 @@ class AnalysisSession {
   // Replaces a module's rows with a fresh export.
   void PublishLinkRows(const std::string& module, const std::vector<LinkRowPtr>& rows,
                        LinkDelta* delta);
-  // Rows parsed from a store (stack facts included) into the table.
-  void LoadLinkRows(std::vector<FuncSummary> rows);
+  // A store's rows (stack facts included) into the table.
+  void LoadLinkRows(std::map<std::pair<std::string, std::string>, FuncSummary>&& rows);
   // Importers of the rows that changed since `delta` began — the modules the
   // next round must re-analyze.
   std::set<std::string> DirtyModules(const LinkDelta& delta);
@@ -340,7 +340,7 @@ class AnalysisSession {
   // (warm starts and the distributed coordinator share it — the coordinator
   // imports worker records instead of analyzing).
   StoreFile BuildStoreSnapshot(bool linked, bool converged) const;
-  bool ImportStoreRecord(const StoreModule& rec, std::string* err);
+  bool ImportStoreRecord(StoreModule&& rec, std::string* err);
   // Rebuilds a module's exported summary rows from its last analysis.
   std::vector<FuncSummary> ExtractSummaries(const std::string& name, ModuleState& st) const;
   // Corpus-level stack facts over the current table (condensation of the

@@ -17,15 +17,16 @@
 
 namespace ivy {
 
-// One exported summary row plus its canonical bytes without the link-stage
-// stack facts, computed once when the row enters the table. Immutable, so
-// the session's row index and the modules' link memos share it instead of
-// copying. The stack facts live beside it (LinkRowState).
+// One exported summary row plus its canonical binary encoding without the
+// link-stage stack facts (FuncSummary::Encode), computed once when the row
+// enters the table. The diff and the import signatures compare these bytes.
+// Immutable, so the session's row index and the modules' link memos share it
+// instead of copying. The stack facts live beside it (LinkRowState).
 struct AnalysisSession::LinkRow {
   explicit LinkRow(FuncSummary r) : row(std::move(r)) {
     row.stack_below = -1;
     row.cross_recursive = false;
-    core = row.Canonical();
+    core = row.Encode();
   }
   FuncSummary row;
   std::string core;

@@ -43,48 +43,6 @@ std::vector<std::pair<std::string, std::string>> FilePairs(
   return out;
 }
 
-// Strict parse of one stored summary row; the store's canon strings must
-// round-trip exactly or the fixpoint diff would chase phantom changes.
-bool ParseSummaryRow(const std::pair<std::string, std::string>& key,
-                     const std::string& canon, FuncSummary* out, std::string* err) {
-  std::string jerr;
-  Json j = Json::Parse(canon, &jerr);
-  if (!jerr.empty()) {
-    SetErr(err, "bad summary row " + key.first + ":" + key.second + ": " + jerr);
-    return false;
-  }
-  std::string serr;
-  if (!FuncSummary::FromJson(j, out, &serr)) {
-    SetErr(err, "bad summary row " + key.first + ":" + key.second + ": " + serr);
-    return false;
-  }
-  if (out->module != key.first || out->function != key.second) {
-    SetErr(err, "summary row key mismatch for " + key.first + ":" + key.second);
-    return false;
-  }
-  if (out->Canonical() != canon) {
-    SetErr(err, "summary row " + key.first + ":" + key.second +
-                    " is not in canonical form");
-    return false;
-  }
-  return true;
-}
-
-bool ParseFindings(const StoreModule& rec, std::vector<Finding>* out,
-                   std::string* err) {
-  out->clear();
-  for (const std::string& canon : rec.findings_canon) {
-    std::string jerr;
-    Json j = Json::Parse(canon, &jerr);
-    if (!jerr.empty()) {
-      SetErr(err, "bad finding in store record '" + rec.name + "': " + jerr);
-      return false;
-    }
-    out->push_back(Finding::FromJson(j));
-  }
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -152,31 +110,20 @@ StoreFile AnalysisSession::BuildStoreSnapshot(bool linked, bool converged) const
       m.defined_names.assign(st->defined_names.begin(), st->defined_names.end());
       m.extern_refs.assign(st->extern_refs.begin(), st->extern_refs.end());
       if (st->ok) {
-        for (const Finding& f : st->result.findings) {
-          // Unstamped, location-raw canonical form — exactly the per-module
-          // cache MergeResult stamps, so a restored module merges
-          // byte-identically.
-          m.findings_canon.push_back(f.ToJson(nullptr).Dump(-1));
-        }
+        // Unstamped — exactly the per-module cache MergeResult stamps, so a
+        // restored module merges byte-identically.
+        m.findings = st->result.findings;
       }
     }
     sf.modules.emplace(name, std::move(m));
   }
-  for (const auto& [key, row] : link_table_.summaries()) {
-    sf.summaries[key] = row.Canonical();
-  }
+  sf.summaries = link_table_.summaries();
   return sf;
 }
 
-bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err) {
+bool AnalysisSession::ImportStoreRecord(StoreModule&& rec, std::string* err) {
   if (!rec.analyzed) {
     SetErr(err, "module '" + rec.name + "' has no analysis state to import");
-    return false;
-  }
-  // Parse everything before touching state, so a malformed record never
-  // leaves a half-imported module behind.
-  std::vector<Finding> findings;
-  if (rec.ok && !ParseFindings(rec, &findings, err)) {
     return false;
   }
   auto& st = modules_[rec.name];
@@ -217,7 +164,9 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
   }
   st->stats = ModuleStats{};
   st->result = PipelineResult{};
-  st->result.findings = std::move(findings);
+  if (rec.ok) {
+    st->result.findings = std::move(rec.findings);
+  }
   return true;
 }
 
@@ -235,26 +184,9 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     SetErr(err, "store '" + path + "' has a stale corpus digest (the analysis recipe changed)");
     return false;
   }
-  // Validate everything up front: LoadStore either restores or leaves the
-  // session untouched — never half-warm.
-  std::vector<FuncSummary> rows;
-  rows.reserve(sf.summaries.size());
-  for (const auto& [key, canon] : sf.summaries) {
-    FuncSummary s;
-    if (!ParseSummaryRow(key, canon, &s, err)) {
-      return false;
-    }
-    rows.push_back(std::move(s));
-  }
-  for (const auto& [name, rec] : sf.modules) {
-    (void)name;
-    std::vector<Finding> scratch;
-    if (rec.analyzed && rec.ok && !ParseFindings(rec, &scratch, err)) {
-      return false;
-    }
-  }
-
-  for (const auto& [name, rec] : sf.modules) {
+  // DecodeStore validated every record, so LoadStore either restores or
+  // leaves the session untouched — never half-warm.
+  for (auto& [name, rec] : sf.modules) {
     auto it = modules_.find(name);
     if (it != modules_.end()) {
       ModuleState* st = it->second.get();
@@ -289,7 +221,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
       }
       continue;
     }
-    if (!ImportStoreRecord(rec, err)) {
+    if (!ImportStoreRecord(std::move(rec), err)) {
       return false;
     }
   }
@@ -299,7 +231,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     (void)name;
     st->memo.clear();
   }
-  LoadLinkRows(std::move(rows));
+  LoadLinkRows(std::move(sf.summaries));
   linked_ever_ = sf.linked;
   link_stats_ = LinkStats{};
   link_stats_.converged = sf.linked && sf.converged;
@@ -471,7 +403,7 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
           failed = true;
           break;
         }
-        if (!ImportStoreRecord(rec->second, &err)) {
+        if (!ImportStoreRecord(std::move(rec->second), &err)) {
           failed = true;
           break;
         }
@@ -479,18 +411,10 @@ SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions
         RetractLinkRows(name, &delta);
         for (auto it = merged.summaries.lower_bound({name, std::string()});
              it != merged.summaries.end() && it->first.first == name; ++it) {
-          FuncSummary s;
-          if (!ParseSummaryRow(it->first, it->second, &s, &err)) {
-            failed = true;
-            break;
-          }
-          const int64_t stack_below = s.stack_below;
-          const bool cross_recursive = s.cross_recursive;
-          PutLinkRow(std::make_shared<const LinkRow>(std::move(s)), stack_below,
+          const int64_t stack_below = it->second.stack_below;
+          const bool cross_recursive = it->second.cross_recursive;
+          PutLinkRow(std::make_shared<const LinkRow>(std::move(it->second)), stack_below,
                      cross_recursive, &delta);
-        }
-        if (failed) {
-          break;
         }
       }
       if (failed) {
@@ -583,16 +507,7 @@ bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store
     }
     session.AddModule(name, std::move(files));
   }
-  std::vector<FuncSummary> table;
-  table.reserve(round.summaries.size());
-  for (const auto& [key, canon] : round.summaries) {
-    FuncSummary s;
-    if (!ParseSummaryRow(key, canon, &s, err)) {
-      return false;
-    }
-    table.push_back(std::move(s));
-  }
-  session.LoadLinkRows(std::move(table));
+  session.LoadLinkRows(std::move(round.summaries));
 
   // Plain Run(), not RunLinked: the coordinator owns the fixpoint; a worker
   // contributes exactly one round's worth of analysis. Cold re-analysis is
@@ -606,7 +521,7 @@ bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store
   // Build the delta: this shard's records + fresh summary rows.
   StoreFile snap = session.BuildStoreSnapshot(/*linked=*/false, /*converged=*/false);
   std::map<std::string, StoreModule> records;
-  std::map<std::pair<std::string, std::string>, std::string> rows;
+  std::map<std::pair<std::string, std::string>, FuncSummary> rows;
   for (const std::string& name : modules) {
     auto rec = snap.modules.find(name);
     if (rec == snap.modules.end()) {
@@ -615,8 +530,9 @@ bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store
     }
     records.emplace(name, std::move(rec->second));
     ModuleState* st = session.modules_.find(name)->second.get();
-    for (const FuncSummary& row : session.ExtractSummaries(name, *st)) {
-      rows[{row.module, row.function}] = row.Canonical();
+    for (FuncSummary& row : session.ExtractSummaries(name, *st)) {
+      std::pair<std::string, std::string> key{row.module, row.function};
+      rows[std::move(key)] = std::move(row);
     }
   }
 
@@ -638,8 +554,8 @@ bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store
     }
     cur.modules[name] = std::move(rec);
   }
-  for (auto& [key, canon] : rows) {
-    cur.summaries[key] = std::move(canon);
+  for (auto& [key, row] : rows) {
+    cur.summaries[key] = std::move(row);
   }
   return WriteStoreFile(store_path, cur, err);
 }

@@ -1,4 +1,4 @@
-// Arena-backed AST invariants: slab ids and locations, acyclic bodies,
+// Arena-backed AST invariants: node locations, acyclic bodies,
 // string interning, prelude intern sharing, ReplaceFunction against a cold
 // session, and parse-error robustness (leak-freedom is by construction — POD
 // nodes in an arena — so the fuzz loop here runs under the sanitizer jobs to
@@ -44,12 +44,16 @@ void work(struct buf* b, int n) {
 }
 )";
 
-// Every node reachable from a function body sits in its slab at its own id
-// (slab addresses are stable), carries a valid location, and never links to
-// itself.
-TEST(AstArena, ReachableNodesRoundTripAndHaveLocations) {
-  auto comp = CompileOk(kSample);
-  const Program& prog = comp->prog;
+// Every statement and expression reachable from the function bodies of
+// `prog`, in a fixed walk order (null children are skipped here and checked
+// by the tests).
+struct Reachable {
+  std::vector<const Stmt*> stmts;
+  std::vector<const Expr*> exprs;
+};
+
+Reachable WalkBodies(const Program& prog) {
+  Reachable out;
   std::vector<const Expr*> exprs;
   std::vector<const Stmt*> stmts;
   for (const FuncDecl* fn : prog.funcs) {
@@ -57,52 +61,74 @@ TEST(AstArena, ReachableNodesRoundTripAndHaveLocations) {
       stmts.push_back(fn->body);
     }
   }
-  int expr_nodes = 0;
+  auto push_stmt = [&stmts](const Stmt* s) {
+    if (s != nullptr) {
+      stmts.push_back(s);
+    }
+  };
+  auto push_expr = [&exprs](const Expr* e) {
+    if (e != nullptr) {
+      exprs.push_back(e);
+    }
+  };
   while (!stmts.empty() || !exprs.empty()) {
     if (!stmts.empty()) {
       const Stmt* s = stmts.back();
       stmts.pop_back();
-      ASSERT_EQ(prog.StmtAt(StmtId{s->id}), s);
-      EXPECT_TRUE(s->loc.IsValid());
+      out.stmts.push_back(s);
       for (const Stmt* child : {s->init, s->then_stmt, s->else_stmt}) {
-        if (child != nullptr) {
-          EXPECT_NE(child, s);
-          stmts.push_back(child);
-        }
+        push_stmt(child);
       }
       for (const Stmt* child : s->body) {
-        ASSERT_NE(child, nullptr);
-        EXPECT_NE(child, s);
-        stmts.push_back(child);
+        push_stmt(child);
       }
       for (const Expr* e : {s->expr, s->cond, s->step}) {
-        if (e != nullptr) {
-          exprs.push_back(e);
-        }
+        push_expr(e);
       }
-      if (s->decl != nullptr && s->decl->init != nullptr) {
-        exprs.push_back(s->decl->init);
+      if (s->decl != nullptr) {
+        push_expr(s->decl->init);
       }
       continue;
     }
     const Expr* e = exprs.back();
     exprs.pop_back();
-    ++expr_nodes;
-    ASSERT_EQ(prog.ExprAt(ExprId{e->id}), e);
+    out.exprs.push_back(e);
+    for (const Expr* child : {e->a, e->b, e->c}) {
+      push_expr(child);
+    }
+    for (const Expr* arg : e->args) {
+      push_expr(arg);
+    }
+  }
+  return out;
+}
+
+// Every node reachable from a function body carries a valid location and
+// never links to itself.
+TEST(AstArena, ReachableNodesHaveLocations) {
+  auto comp = CompileOk(kSample);
+  const Reachable r = WalkBodies(comp->prog);
+  for (const Stmt* s : r.stmts) {
+    EXPECT_TRUE(s->loc.IsValid());
+    for (const Stmt* child : {s->init, s->then_stmt, s->else_stmt}) {
+      EXPECT_NE(child, s);
+    }
+    for (const Stmt* child : s->body) {
+      EXPECT_NE(child, nullptr);
+      EXPECT_NE(child, s);
+    }
+  }
+  for (const Expr* e : r.exprs) {
     EXPECT_TRUE(e->loc.IsValid());
     EXPECT_GE(e->loc.line, 1);
     for (const Expr* child : {e->a, e->b, e->c}) {
-      if (child != nullptr) {
-        EXPECT_NE(child, e);
-        exprs.push_back(child);
-      }
+      EXPECT_NE(child, e);
     }
     for (const Expr* arg : e->args) {
-      ASSERT_NE(arg, nullptr);
-      exprs.push_back(arg);
+      EXPECT_NE(arg, nullptr);
     }
   }
-  EXPECT_GT(expr_nodes, 10);
+  EXPECT_GT(r.exprs.size(), 10u);
 }
 
 // The AST is a forest over the slabs: walking every function's body visits
@@ -131,22 +157,21 @@ TEST(AstArena, BodyWalkIsAcyclic) {
   }
 }
 
-// Interning deduplicates: every occurrence of one spelling gets the same id.
+// Interning deduplicates: every occurrence of one spelling views the same
+// stored bytes.
 TEST(AstArena, InterningDeduplicates) {
   auto comp = CompileOk(kSample);
-  const Program& prog = comp->prog;
-  std::map<std::string, uint32_t> id_of;
+  std::map<std::string, const char*> bytes_of;
   int idents = 0;
-  for (uint32_t i = 0; i < prog.expr_count(); ++i) {
-    const Expr* e = prog.ExprAt(ExprId{i});
-    if (e->kind != ExprKind::kIdent || e->str_id == kNoStr) {
+  for (const Expr* e : WalkBodies(comp->prog).exprs) {
+    if (e->kind != ExprKind::kIdent) {
       continue;
     }
     ++idents;
-    auto [it, fresh] = id_of.emplace(std::string(e->str_val), e->str_id);
-    EXPECT_EQ(it->second, e->str_id) << "same spelling, different intern id";
+    auto [it, fresh] = bytes_of.emplace(std::string(e->str_val), e->str_val.data());
+    EXPECT_EQ(it->second, e->str_val.data()) << "same spelling, two stored copies";
   }
-  EXPECT_GT(idents, static_cast<int>(id_of.size()));  // dedup actually fired
+  EXPECT_GT(idents, static_cast<int>(bytes_of.size()));  // dedup actually fired
 }
 
 // ReplaceFunction splices a new definition into a live session: the
@@ -188,8 +213,8 @@ TEST(AstArena, ReplaceFunctionSplicesAndMatchesCold) {
 }
 
 // Prelude intern sharing: the second module compiled against one
-// FrontendCache seeds its interner from the first module's snapshot, and
-// every expression's spelling and intern id match an unshared compile
+// FrontendCache seeds its interner from the first module's snapshot, and its
+// interner and every expression's spelling match an unshared compile
 // exactly (seeding is equivalent to re-interning in the same order).
 TEST(AstArena, PreludeInternSnapshotSharing) {
   PipelineBuilder b;
@@ -205,13 +230,15 @@ TEST(AstArena, PreludeInternSnapshotSharing) {
   EXPECT_EQ(cache.intern_seeds, 1);
   auto lone = p.Compile({SourceFile{"c.mc", text}});
   ASSERT_TRUE(lone->ok);
-  ASSERT_EQ(second->prog.expr_count(), lone->prog.expr_count());
-  EXPECT_EQ(second->prog.interner().size(), lone->prog.interner().size());
-  for (uint32_t i = 0; i < lone->prog.expr_count(); ++i) {
-    const Expr* es = second->prog.ExprAt(ExprId{i});
-    const Expr* el = lone->prog.ExprAt(ExprId{i});
-    EXPECT_EQ(es->str_val, el->str_val);
-    EXPECT_EQ(es->str_id, el->str_id);
+  ASSERT_EQ(second->prog.interner().size(), lone->prog.interner().size());
+  for (uint32_t i = 0; i < lone->prog.interner().size(); ++i) {
+    EXPECT_EQ(second->prog.interner().View(i), lone->prog.interner().View(i));
+  }
+  const std::vector<const Expr*> es = WalkBodies(second->prog).exprs;
+  const std::vector<const Expr*> el = WalkBodies(lone->prog).exprs;
+  ASSERT_EQ(es.size(), el.size());
+  for (size_t i = 0; i < el.size(); ++i) {
+    EXPECT_EQ(es[i]->str_val, el[i]->str_val);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,13 @@ StoreFile SampleStore() {
   a.has_link_names = true;
   a.defined_names = {"a", "b"};
   a.extern_refs = {"c"};
-  a.findings_canon = {R"({"tool":"blockstop","message":"m"})"};
+  Finding f;
+  f.tool = "blockstop";
+  f.severity = FindingSeverity::kError;
+  f.loc = SourceLoc{0, 3, 7};
+  f.message = "m";
+  f.witness = {"a", "calls b"};
+  a.findings = {f, Finding{}};
   sf.modules["alpha"] = a;
 
   StoreModule d;  // dirty at save time: sources only
@@ -99,8 +106,22 @@ StoreFile SampleStore() {
   d.source_digest = SourcesDigest(d.files);
   sf.modules["beta"] = d;
 
-  sf.summaries[{"alpha", "a"}] = R"({"module":"alpha","function":"a","defined":true})";
-  sf.summaries[{"beta", "c"}] = R"({"module":"beta","function":"c","defined":true})";
+  FuncSummary row;
+  row.module = "alpha";
+  row.function = "a";
+  row.defined = true;
+  row.may_block = true;
+  row.block_witness = "msleep";
+  row.errcodes = {-5, -12};
+  row.callees = {"b", "c"};
+  row.stack_below = 96;
+  sf.summaries[{"alpha", "a"}] = row;
+  FuncSummary usage;
+  usage.module = "beta";
+  usage.function = "a";
+  usage.entered_atomic = true;
+  usage.param_points = {{0, {"a"}}, {2, {}}};
+  sf.summaries[{"beta", "a"}] = usage;
   return sf;
 }
 
@@ -127,9 +148,17 @@ TEST(StoreFormat, RoundTrip) {
   EXPECT_TRUE(a.has_link_names);
   EXPECT_EQ(a.defined_names, sf.modules.at("alpha").defined_names);
   EXPECT_EQ(a.extern_refs, sf.modules.at("alpha").extern_refs);
-  EXPECT_EQ(a.findings_canon, sf.modules.at("alpha").findings_canon);
+  ASSERT_EQ(a.findings.size(), 2u);
+  for (size_t i = 0; i < a.findings.size(); ++i) {
+    EXPECT_EQ(a.findings[i].ToJson().Dump(-1),
+              sf.modules.at("alpha").findings[i].ToJson().Dump(-1));
+  }
   EXPECT_FALSE(back.modules.at("beta").analyzed);
-  EXPECT_EQ(back.summaries, sf.summaries);
+  ASSERT_EQ(back.summaries.size(), sf.summaries.size());
+  for (const auto& [key, row] : sf.summaries) {
+    ASSERT_EQ(back.summaries.count(key), 1u);
+    EXPECT_EQ(back.summaries.at(key).Canonical(), row.Canonical());
+  }
   // Deterministic bytes: re-encoding the decode is the identity.
   EXPECT_EQ(EncodeStore(back), bytes);
 }
@@ -161,12 +190,16 @@ TEST(StoreFormat, BadHeaderRejected) {
     std::string err;
     EXPECT_FALSE(DecodeStore(bad, &out, &err)) << "header byte " << byte;
   }
-  // The previous version (3, with fingerprint tables) is rejected strictly.
-  std::string old_version = good;
-  old_version[2] = static_cast<char>(3);
+  // Earlier versions — 3 with fingerprint tables, 4 with JSON records — are
+  // rejected strictly.
   std::string err;
-  EXPECT_FALSE(DecodeStore(old_version, &out, &err));
-  EXPECT_NE(err.find("unsupported store version 3"), std::string::npos) << err;
+  for (int v : {3, 4}) {
+    std::string old_version = good;
+    old_version[2] = static_cast<char>(v);
+    EXPECT_FALSE(DecodeStore(old_version, &out, &err));
+    EXPECT_NE(err.find("unsupported store version " + std::to_string(v)), std::string::npos)
+        << err;
+  }
   // Unknown flag bits are a format extension signal, not noise to ignore.
   std::string bad = good;
   bad[3] = static_cast<char>(bad[3] | 0x80);
@@ -206,7 +239,8 @@ TEST(StoreFormat, MutatedByteFuzz) {
     StoreFile out;
     std::string err;
     if (DecodeStore(bytes, &out, &err)) {
-      EncodeStore(out);  // a benign mutation must still re-encode safely
+      // An accepted mutation is a canonical store in its own right.
+      EXPECT_EQ(EncodeStore(out), bytes) << "round " << round;
     }
   }
 }
@@ -323,12 +357,18 @@ TEST(StoreSession, CorruptAndMalformedStoresRejected) {
   std::string err;
   ASSERT_TRUE(s.SaveStore(path.get(), &err)) << err;
 
-  // A malformed summary row (bad JSON) fails the load atomically.
+  // A malformed summary row (its leading row-kind byte is not a bool) fails
+  // the load atomically. The last row's encoding ends the file.
   StoreFile sf;
   ASSERT_TRUE(ReadStoreFile(path.get(), &sf, &err)) << err;
   ASSERT_FALSE(sf.summaries.empty());
-  sf.summaries.begin()->second = "{not json";
-  ASSERT_TRUE(WriteStoreFile(path.get(), sf, &err)) << err;
+  std::string bytes = EncodeStore(sf);
+  bytes[bytes.size() - sf.summaries.rbegin()->second.Encode().size()] = 2;
+  {
+    std::ofstream out(path.get(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_FALSE(ReadStoreFile(path.get(), &sf, &err));
   AnalysisSession fresh = LinkedPipeline().ForEachModule(corpus).BuildSession();
   EXPECT_FALSE(fresh.LoadStore(path.get(), &err));
   // The failed load left the session cold but intact: a cold run still

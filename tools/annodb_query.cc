@@ -455,21 +455,15 @@ int RunFromStore(const Args& a) {
 
   if (a.summaries) {
     int rows = 0;
-    for (const auto& [key, canon] : sf.summaries) {
+    for (const auto& [key, row] : sf.summaries) {
       if (!a.function.empty() && key.second != a.function) {
         continue;
       }
       if (!a.module.empty() && key.first != a.module) {
         continue;
       }
-      std::string perr;
-      ivy::Json j = ivy::Json::Parse(canon, &perr);
-      if (!perr.empty()) {
-        std::fprintf(stderr, "annodb-query: bad summary row in store: %s\n", perr.c_str());
-        return 1;
-      }
       ++rows;
-      PrintSummaryRow(key.first, key.second, ivy::FuncSummary::FromJson(j));
+      PrintSummaryRow(key.first, key.second, row);
     }
     PrintSummariesTrailer(rows, sf.summaries.size());
   }
@@ -484,14 +478,7 @@ int RunFromStore(const Args& a) {
     if (!rec.analyzed || !rec.ok) {
       continue;
     }
-    for (const std::string& canon : rec.findings_canon) {
-      std::string perr;
-      ivy::Json j = ivy::Json::Parse(canon, &perr);
-      if (!perr.empty()) {
-        std::fprintf(stderr, "annodb-query: bad finding in store: %s\n", perr.c_str());
-        return 1;
-      }
-      ivy::Finding f = ivy::Finding::FromJson(j);
+    for (ivy::Finding f : rec.findings) {
       f.module = name;  // store records cache unstamped findings
       ++total;
       if (!q.Matches(f)) {
