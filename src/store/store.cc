@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "src/support/wire_codec.h"
 
@@ -137,7 +137,7 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
   out->linked = (flags & kStoreFlagLinked) != 0;
   out->converged = (flags & kStoreFlagConverged) != 0;
 
-  const std::string body = bytes.substr(kStoreHeaderSize);
+  const std::string_view body = std::string_view(bytes).substr(kStoreHeaderSize);
   WireReader r(body);
   if (!r.GetU64(&out->corpus_digest)) {
     SetErr(err, "truncated store body");
@@ -222,20 +222,24 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
 // ---------------------------------------------------------------------------
 
 bool ReadStoreFile(const std::string& path, StoreFile* out, std::string* err) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     SetErr(err, "cannot open store '" + path + "'");
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
+  // One read into a buffer of the file's size; the body decodes in place.
+  const std::streamoff size = in.tellg();
+  if (size < 0) {
     SetErr(err, "read error on store '" + path + "'");
     return false;
   }
-  std::string bytes = buf.str();
-  if (bytes.size() > kMaxStoreBytes) {
+  if (static_cast<uint64_t>(size) > kMaxStoreBytes) {
     SetErr(err, "store '" + path + "' exceeds the size cap");
+    return false;
+  }
+  std::string bytes(static_cast<size_t>(size), '\0');
+  if (!in.seekg(0) || !in.read(bytes.data(), size)) {
+    SetErr(err, "read error on store '" + path + "'");
     return false;
   }
   std::string derr;
@@ -247,6 +251,10 @@ bool ReadStoreFile(const std::string& path, StoreFile* out, std::string* err) {
 }
 
 bool WriteStoreFile(const std::string& path, const StoreFile& sf, std::string* err) {
+  return WriteStoreBytes(path, EncodeStore(sf), err);
+}
+
+bool WriteStoreBytes(const std::string& path, const std::string& bytes, std::string* err) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -254,7 +262,6 @@ bool WriteStoreFile(const std::string& path, const StoreFile& sf, std::string* e
       SetErr(err, "cannot create '" + tmp + "'");
       return false;
     }
-    const std::string bytes = EncodeStore(sf);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.flush();
     if (!out.good()) {

@@ -126,6 +126,9 @@ bool ReadStoreFile(const std::string& path, StoreFile* out, std::string* err);
 // NOT take the lock — for callers that already hold a StoreLock (the
 // worker merge) or own the file exclusively (a coordinator, a daemon).
 bool WriteStoreFile(const std::string& path, const StoreFile& sf, std::string* err);
+// The same atomic replace for bytes already encoded by EncodeStore (one
+// encoding written to several paths).
+bool WriteStoreBytes(const std::string& path, const std::string& bytes, std::string* err);
 
 // RAII advisory lock on `<path>.lock` — serializes the workers'
 // read-merge-write cycles against each other. Blocks until acquired.

@@ -102,7 +102,7 @@ bool WireReader::GetStr(std::string* out) {
     ok_ = false;
     return false;
   }
-  out->assign(data_, pos_, len);
+  out->assign(data_.data() + pos_, len);
   pos_ += len;
   return true;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,7 +42,8 @@ class WireWriter {
 // failure all further reads fail too.
 class WireReader {
  public:
-  explicit WireReader(const std::string& payload) : data_(payload) {}
+  // Reads in place: `payload` must outlive the reader.
+  explicit WireReader(std::string_view payload) : data_(payload) {}
 
   bool GetU8(uint8_t* out);
   // Strict: only 0 and 1 decode, so a bool has exactly one encoding.
@@ -67,7 +69,7 @@ class WireReader {
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;
 };

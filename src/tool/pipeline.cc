@@ -327,9 +327,10 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
 
   // One worker pool for every sharded pass in this run (TaskGroup keeps
   // their waits isolated) — unless a session already attached a longer-lived
-  // one, or there is one shard and the kernels run inline. Sized for the help-first model: k shards need k-1 workers. The
-  // guard detaches on every exit path: a throwing pass must not leave the
-  // context pointing at a pool that dies with this frame.
+  // one, or there is one shard and the kernels run inline. The pool is sized
+  // for the help-first model: k shards need k-1 workers. The guard detaches
+  // on every exit path: a throwing pass must not leave the context pointing
+  // at a pool that dies with this frame.
   struct RunPool {
     AnalysisContext* ctx = nullptr;
     std::unique_ptr<WorkQueue> pool;

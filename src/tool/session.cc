@@ -221,7 +221,7 @@ bool AnalysisSession::RemoveModule(const std::string& name) {
   // facts: retract its component and let the next RunLinked re-derive it.
   if (!link_table_.summaries().empty()) {
     for (const std::string& m : LinkedComponentOf({name})) {
-      RetractLinkRows(m, nullptr);
+      RetractLinkRows(m);
       if (m != name) {
         Invalidate(m);
       }
@@ -436,12 +436,7 @@ SessionResult AnalysisSession::MergeResult(bool cancelled) const {
     }
     if (!st->ok) {
       ++out.compile_failures;
-      Finding f;
-      f.tool = "session";
-      f.severity = FindingSeverity::kError;
-      f.module = name;
-      f.message = "module '" + name + "' failed to compile";
-      out.findings.push_back(std::move(f));
+      out.findings.push_back(SessionError("module '" + name + "' failed to compile", name));
     } else {
       for (const Finding& f : st->result.findings) {
         Finding stamped = f;
@@ -576,18 +571,11 @@ void AnalysisSession::PutLinkRow(LinkRowPtr row, int64_t stack_below, bool cross
   link_rows_[std::move(key)] = LinkRowState{std::move(row), stack_below, cross_recursive};
 }
 
-void AnalysisSession::RetractLinkRows(const std::string& module, LinkDelta* delta) {
+void AnalysisSession::RetractLinkRows(const std::string& module) {
   const auto& rows = link_table_.summaries();
   for (auto it = rows.lower_bound({module, std::string()});
        it != rows.end() && it->first.first == module; ++it) {
-    auto mirror = link_rows_.find({it->first.second, module});
-    if (mirror == link_rows_.end()) {
-      continue;
-    }
-    if (delta != nullptr) {
-      delta->emplace(mirror->first, mirror->second);
-    }
-    link_rows_.erase(mirror);
+    link_rows_.erase({it->first.second, module});
   }
   link_table_.RetractModule(module);  // the table holds only summary rows
 }
@@ -922,7 +910,7 @@ void AnalysisSession::PrepareLinkedRun() {
     }
   } else if (!source_dirty.empty()) {
     for (const std::string& m : LinkedComponentOf(source_dirty)) {
-      RetractLinkRows(m, nullptr);
+      RetractLinkRows(m);
       Invalidate(m);
     }
   }
@@ -1006,28 +994,43 @@ AnalysisSession::MemoHits AnalysisSession::ServeFromMemo() {
   return served;
 }
 
-void AnalysisSession::PublishRound(const MemoHits& served, LinkDelta* delta) {
-  for (auto& [name, st] : modules_) {
-    if (!st->analyzed_now) {
-      continue;
+bool AnalysisSession::StepAndPublish(const RoundStep& step, const MemoHits& served,
+                                     LinkDelta* delta, std::string* err) {
+  RoundExports exports;
+  if (!step(&exports, err)) {
+    // Nothing is published: every module the step or the memo touched
+    // stays dirty, so a resumed run re-derives from a consistent table.
+    for (auto& [name, st] : modules_) {
+      (void)name;
+      st->dirty |= st->analyzed_now;
     }
+    for (const auto& [name, entry] : served) {
+      (void)entry;
+      Invalidate(name);
+    }
+    link_stats_.cancelled = err->empty();
+    return false;
+  }
+  link_stats_.module_analyses += static_cast<int>(exports.size());
+  for (auto& [name, summaries] : exports) {
+    ModuleState& st = *modules_.at(name);
     std::vector<LinkRowPtr> rows;
-    if (st->ok) {
+    if (st.ok) {
       // Memoize the export, sharing rows identical to ones the module's
       // other entries already hold.
       std::unordered_map<std::string_view, LinkRowPtr> known;
-      for (const auto& [key, entry] : st->memo) {
+      for (const auto& [key, entry] : st.memo) {
         (void)key;
         for (const LinkRowPtr& row : entry.rows) {
           known.emplace(row->core, row);
         }
       }
-      for (FuncSummary& summary : ExtractSummaries(name, *st)) {
+      for (FuncSummary& summary : summaries) {
         auto row = std::make_shared<const LinkRow>(std::move(summary));
         auto same = known.find(row->core);
         rows.push_back(same != known.end() ? same->second : std::move(row));
       }
-      MemoEntry& entry = st->memo[st->memo_key];
+      MemoEntry& entry = st.memo[st.memo_key];
       entry.rows = rows;
       entry.relink = link_runs_;
     }
@@ -1036,14 +1039,11 @@ void AnalysisSession::PublishRound(const MemoHits& served, LinkDelta* delta) {
   for (const auto& [name, entry] : served) {
     PublishLinkRows(name, entry->rows, delta);
   }
+  return true;
 }
 
-int AnalysisSession::AnalyzedNow() const {
-  return static_cast<int>(std::count_if(modules_.begin(), modules_.end(),
-                                        [](const auto& m) { return m.second->analyzed_now; }));
-}
-
-std::set<std::string> AnalysisSession::RebuildStaleFindings() {
+bool AnalysisSession::RebuildStaleFindings(const RoundStep& step, std::set<std::string>* dirty,
+                                           std::string* err) {
   // Findings come only from real analyses. A module served from the memo
   // since its last analysis may hold findings computed under other imports
   // (stack facts included), so it is analyzed once more against the
@@ -1060,23 +1060,21 @@ std::set<std::string> AnalysisSession::RebuildStaleFindings() {
     }
   }
   if (stale.empty()) {
-    return {};
+    return true;
   }
   trace::Span span("session.findings_rebuild", {"modules", static_cast<int64_t>(stale.size())});
   for (const std::string& m : stale) {
     Invalidate(m);
   }
-  if (AnalyzeDirty()) {
-    link_stats_.cancelled = true;
-    return {};
-  }
-  link_stats_.module_analyses += AnalyzedNow();
-  link_stats_.findings_rebuilds += AnalyzedNow();
+  const int analyses = link_stats_.module_analyses;
   // The rebuilt rows cannot differ from the memo's. If they do, the memo
   // broke its contract: report it, and let the fixpoint carry on from the
   // real rows.
   LinkDelta rebuilt;
-  PublishRound({}, &rebuilt);
+  if (!StepAndPublish(step, {}, &rebuilt, err)) {
+    return false;
+  }
+  link_stats_.findings_rebuilds += link_stats_.module_analyses - analyses;
   if (StackInputsChanged(rebuilt)) {
     ComputeLinkStackFacts(&rebuilt);
   }
@@ -1087,7 +1085,8 @@ std::set<std::string> AnalysisSession::RebuildStaleFindings() {
       memo_mismatches_.insert(key.second);
     }
   }
-  return DirtyModules(rebuilt);
+  *dirty = DirtyModules(rebuilt);
+  return true;
 }
 
 void AnalysisSession::PruneLinkMemos() {
@@ -1134,34 +1133,38 @@ void AnalysisSession::FinishLinkedRun(int max_rounds, SessionResult* result) {
   linked_ever_ = true;
 
   if (!link_stats_.converged && !link_stats_.cancelled) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "cross-module link fixpoint did not converge within " +
-                std::to_string(max_rounds) + " rounds";
-    result->findings.push_back(std::move(f));
+    result->findings.push_back(SessionError("cross-module link fixpoint did not converge within " +
+                                            std::to_string(max_rounds) + " rounds"));
   }
   for (const std::string& fname : link_conflicts_) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "function '" + fname +
-                "' is defined in multiple modules; linking used the first definer's facts";
+    Finding f = SessionError(
+        "function '" + fname +
+        "' is defined in multiple modules; linking used the first definer's facts");
     f.witness = {fname};
     result->findings.push_back(std::move(f));
   }
   for (const std::string& mname : memo_mismatches_) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.module = mname;
-    f.message = "module '" + mname +
-                "' re-analyzed to different summary rows than the link memo served";
-    result->findings.push_back(std::move(f));
+    result->findings.push_back(SessionError(
+        "module '" + mname + "' re-analyzed to different summary rows than the link memo served",
+        mname));
   }
 }
 
 SessionResult AnalysisSession::RunLinked() {
+  return LinkFixpoint([this](RoundExports* exports, std::string*) {
+    if (AnalyzeDirty()) {
+      return false;  // cancelled
+    }
+    for (auto& [name, st] : modules_) {
+      if (st->analyzed_now) {
+        (*exports)[name] = ExtractSummaries(name, *st);
+      }
+    }
+    return true;
+  });
+}
+
+SessionResult AnalysisSession::LinkFixpoint(const RoundStep& step) {
   PrepareLinkedRun();
   ++link_runs_;
   memo_mismatches_.clear();
@@ -1170,13 +1173,14 @@ SessionResult AnalysisSession::RunLinked() {
   // fixpoint terminates on its own; the cap only guards against a future
   // non-monotone exporter bug turning into an infinite loop.
   const int max_rounds = static_cast<int>(modules_.size()) * 4 + 8;
-  bool ran_round = false;  // whether any round got as far as AnalyzeDirty
+  bool ran_round = false;  // whether any round got as far as the step
+  std::string failure;     // why the step failed (empty: it did not)
   for (;;) {
-    // Cancellation boundary between rounds (AnalyzeDirty also checks
-    // between modules): an aborted fixpoint reports cancelled, leaves the
-    // dirty modules dirty, and skips the summary re-export — the table keeps
-    // the last fully-exported round, so a resumed RunLinked() re-derives
-    // from a consistent base.
+    // Cancellation boundary between rounds (the in-process step also
+    // checks between modules): an aborted fixpoint reports cancelled,
+    // leaves the dirty modules dirty, and skips the summary re-export — the
+    // table keeps the last fully-exported round, so a resumed run
+    // re-derives from a consistent base.
     if (cancel_requested()) {
       link_stats_.cancelled = true;
       break;
@@ -1190,34 +1194,24 @@ SessionResult AnalysisSession::RunLinked() {
     const uint64_t round_t0 = trace::Enabled() ? MonotonicNowNs() : 0;
     const MemoHits served = ServeFromMemo();
     ran_round = true;
-    if (AnalyzeDirty()) {
-      for (const auto& [name, entry] : served) {
-        (void)entry;
-        Invalidate(name);  // not published: still dirty for the resume
-      }
-      link_stats_.cancelled = true;
+    const int analyses = link_stats_.module_analyses;
+    LinkDelta delta;
+    if (!StepAndPublish(step, served, &delta, &failure)) {
       break;
     }
-    const int misses = AnalyzedNow();
-    link_stats_.module_analyses += misses;
     link_stats_.memo_hits += static_cast<int>(served.size());
     if (trace::Enabled()) {
       trace::GetCounter("session.memo_hit")->Add(served.size());
-      trace::GetCounter("session.memo_miss")->Add(static_cast<uint64_t>(misses));
+      trace::GetCounter("session.memo_miss")
+          ->Add(static_cast<uint64_t>(link_stats_.module_analyses - analyses));
     }
-
-    LinkDelta delta;
-    PublishRound(served, &delta);
     // The first round follows the retraction, which no delta recorded.
     if (link_stats_.rounds == 1 || StackInputsChanged(delta)) {
       ComputeLinkStackFacts(&delta);
     }
     std::set<std::string> dirty = DirtyModules(delta);
-    if (dirty.empty()) {
-      dirty = RebuildStaleFindings();
-      if (link_stats_.cancelled) {
-        break;
-      }
+    if (dirty.empty() && !RebuildStaleFindings(step, &dirty, &failure)) {
+      break;
     }
     round_span.AddArg({"dirty", static_cast<int64_t>(dirty.size())});
     if (trace::Enabled()) {
@@ -1230,8 +1224,8 @@ SessionResult AnalysisSession::RunLinked() {
       break;
     }
     // Invalidate BEFORE the cap check: if the cap fires, the unconverged
-    // modules stay dirty, so a follow-up RunLinked() resumes the fixpoint
-    // instead of reporting the stale table as converged.
+    // modules stay dirty, so a follow-up run resumes the fixpoint instead
+    // of reporting the stale table as converged.
     for (const std::string& m : dirty) {
       Invalidate(m);
     }
@@ -1240,7 +1234,7 @@ SessionResult AnalysisSession::RunLinked() {
     }
   }
 
-  if (!link_stats_.cancelled) {
+  if (!link_stats_.cancelled && failure.empty()) {
     PruneLinkMemos();
   }
   if (trace::Enabled()) {
@@ -1252,6 +1246,9 @@ SessionResult AnalysisSession::RunLinked() {
     result = MergeResult(link_stats_.cancelled);
   }
   result.cancelled = link_stats_.cancelled;
+  if (!failure.empty()) {
+    result.findings.push_back(SessionError(failure));
+  }
   FinishLinkedRun(max_rounds, &result);
   return result;
 }

@@ -186,15 +186,15 @@ class AnalysisSession {
   SessionResult RunLinked();
   const LinkStats& link_stats() const { return link_stats_; }
 
-  // RunLinked() split across processes: the same diff-driven round
-  // scheduler, but each round's dirty modules are partitioned across
-  // worker processes that analyze their shard cold (exact by the
-  // determinism contract) and merge summary deltas into the shared store.
-  // Converged findings are byte-identical to single-process RunLinked()
-  // regardless of worker count and module assignment; a worker failure
-  // aborts the round with an error finding, leaves the fixpoint resumable
-  // (dirty modules stay dirty, the store stays consistent), and reports
-  // converged=false.
+  // RunLinked()'s fixpoint loop (memo, stack facts, findings rebuild) with
+  // another round step: the modules a round must analyze are partitioned
+  // across worker processes that analyze their shard cold (exact by the
+  // determinism contract) and merge records and rows into the shared
+  // store, which the coordinator reads back. Findings and LinkStats equal
+  // single-process RunLinked()'s regardless of worker count and module
+  // assignment. A worker failure aborts the round with an error finding,
+  // leaves the fixpoint resumable (dirty modules stay dirty, the store
+  // stays consistent), and reports converged=false.
   SessionResult RunLinkedDistributed(const DistributedLinkOptions& opts);
 
   // The worker side of RunLinkedDistributed: reads the coordinator's
@@ -286,21 +286,35 @@ class AnalysisSession {
   // Returns true when a cancel stopped it.
   bool AnalyzeDirty();
   // Phase C of Run(): the deterministic corpus merge over the current
-  // module states (shared by Run and the distributed coordinator, which
-  // imports worker results into the states instead of analyzing).
+  // module states (shared by Run and the link fixpoint, whose distributed
+  // step imports worker results into the states instead of analyzing).
   SessionResult MergeResult(bool cancelled) const;
-  // RunLinked()'s retraction preamble: reset stats, clear or
+
+  // The one link fixpoint loop, behind RunLinked and RunLinkedDistributed,
+  // parameterized by its round step: analyze every dirty module (marking it
+  // analyzed_now and clean, its memo key taken against the table as the
+  // step found it) and hand back each analyzed module's exported rows,
+  // compile failures included (no rows). A step returns false when it
+  // stopped early: a cancel leaves `*err` empty, a failure says why.
+  using RoundExports = std::map<std::string, std::vector<FuncSummary>>;
+  using RoundStep = std::function<bool(RoundExports* exports, std::string* err)>;
+  SessionResult LinkFixpoint(const RoundStep& step);
+  // RunLinkedDistributed's step: snapshot, fan-out to workers, merge read.
+  bool DistributedStep(const DistributedLinkOptions& opts, RoundExports* exports,
+                       std::string* err);
+  // The fixpoint's retraction preamble: reset stats, clear or
   // component-retract the table for source-dirty modules.
   void PrepareLinkedRun();
-  // RunLinked()'s trailer: row/edge counters, non-convergence and
+  // The fixpoint's trailer: row/edge counters, non-convergence and
   // multiply-defined-function findings.
   void FinishLinkedRun(int max_rounds, SessionResult* result);
 
   // Link table maintenance. Every change to link_table_ goes through these,
-  // so link_rows_ mirrors it and `delta` (optional) records what moved.
+  // so link_rows_ mirrors it and `delta` (optional) records what moved. A
+  // retraction records nothing: its modules are re-derived from scratch.
   void PutLinkRow(LinkRowPtr row, int64_t stack_below, bool cross_recursive,
                   LinkDelta* delta);
-  void RetractLinkRows(const std::string& module, LinkDelta* delta);
+  void RetractLinkRows(const std::string& module);
   // Replaces a module's rows with a fresh export.
   void PublishLinkRows(const std::string& module, const std::vector<LinkRowPtr>& rows,
                        LinkDelta* delta);
@@ -320,25 +334,29 @@ class AnalysisSession {
   // Function name -> definers/referencers, rebuilt when a name set changed.
   const std::map<std::string, LinkNameUsers>& LinkNames();
 
-  // The link memo (RunLinked only). ServeFromMemo marks clean every dirty
-  // module whose memo key hits and returns the entries; the rest go through
-  // AnalyzeDirty(). PublishRound then exports the modules it analyzed
-  // (memoizing their rows) and the served entries. At convergence,
-  // RebuildStaleFindings re-analyzes the modules whose findings predate
-  // their current full import signature and returns the importers of any
-  // row that moved (none, unless the memo broke its contract).
+  // The link memo. ServeFromMemo marks clean every dirty module whose memo
+  // key hits and returns the entries; the rest go through the round step.
+  // StepAndPublish runs the step, then publishes its exports (memoizing
+  // them) and the served entries — or nothing, when the step stops early.
+  // At convergence, RebuildStaleFindings re-analyzes, through the step, the
+  // modules whose findings predate their current full import signature and
+  // sets `dirty` to the importers of any row that moved (none, unless the
+  // memo broke its contract). Both return false when the step stopped
+  // early.
   using MemoHits = std::vector<std::pair<std::string, const MemoEntry*>>;
   MemoHits ServeFromMemo();
-  void PublishRound(const MemoHits& served, LinkDelta* delta);
-  std::set<std::string> RebuildStaleFindings();
-  int AnalyzedNow() const;  // modules the last AnalyzeDirty() analyzed
+  bool StepAndPublish(const RoundStep& step, const MemoHits& served, LinkDelta* delta,
+                      std::string* err);
+  bool RebuildStaleFindings(const RoundStep& step, std::set<std::string>* dirty,
+                            std::string* err);
   void PruneLinkMemos();
   int64_t LinkMemoBytes() const;
 
   // Store plumbing (session_store.cc). BuildStoreSnapshot serializes the
   // whole session; ImportStoreRecord restores one module's persisted state
-  // (warm starts and the distributed coordinator share it — the coordinator
-  // imports worker records instead of analyzing).
+  // (warm starts and the distributed step share it — the step imports
+  // worker records instead of analyzing). It keeps the module's link memo;
+  // LoadStore drops every memo.
   StoreFile BuildStoreSnapshot(bool linked, bool converged) const;
   bool ImportStoreRecord(StoreModule&& rec, std::string* err);
   // Rebuilds a module's exported summary rows from its last analysis.
@@ -374,7 +392,7 @@ class AnalysisSession {
   std::map<std::string, LinkNameUsers> link_names_;
   bool link_names_stale_ = true;
   bool linked_ever_ = false;
-  uint64_t link_runs_ = 0;  // RunLinked() calls, for memo pruning
+  uint64_t link_runs_ = 0;  // link fixpoint runs, for memo pruning
   LinkStats link_stats_;
   // Function names defined in more than one module (a merged-source corpus
   // would reject them); surfaced as session findings by RunLinked.

@@ -39,6 +39,16 @@ struct AnalysisSession::MemoEntry {
   uint64_t relink = 0;
 };
 
+// An error finding the session itself reports (tool "session").
+inline Finding SessionError(std::string message, std::string module = std::string()) {
+  Finding f;
+  f.tool = "session";
+  f.severity = FindingSeverity::kError;
+  f.module = std::move(module);
+  f.message = std::move(message);
+  return f;
+}
+
 struct AnalysisSession::ModuleState {
   std::vector<SourceFile> files;
   bool dirty = true;

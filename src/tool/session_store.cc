@@ -43,6 +43,52 @@ std::vector<std::pair<std::string, std::string>> FilePairs(
   return out;
 }
 
+// Runs one worker per shard, each from its own thread — in process through
+// the test hook, else as a subprocess the thread spawns and waits for — and
+// joins them all, so the store is quiescent on return. One "relink.worker"
+// span and "relink.worker_us" histogram sample per worker: the skew between
+// the fastest and slowest worker is the fleet's idle cost.
+bool RunWorkers(const DistributedLinkOptions& opts,
+                const std::vector<std::vector<std::string>>& shards, std::string* err) {
+  auto run = [&opts](const std::vector<std::string>& shard, std::string* werr) {
+    if (opts.run_worker) {
+      return opts.run_worker(shard, werr);
+    }
+    std::string mods;
+    for (const std::string& m : shard) {
+      mods += (mods.empty() ? "" : ",") + m;
+    }
+    Subprocess proc;
+    return SpawnProcess({opts.worker_argv0, "--worker", "--store", opts.store_path,
+                         "--modules", mods},
+                        &proc, werr) &&
+           WaitProcess(&proc, werr);
+  };
+  std::vector<std::future<std::pair<bool, std::string>>> futures;
+  futures.reserve(shards.size());
+  for (const std::vector<std::string>& shard : shards) {
+    futures.push_back(std::async(std::launch::async, [&run, &shard] {
+      trace::Span wspan("relink.worker", {"modules", static_cast<int64_t>(shard.size())});
+      const uint64_t t0 = trace::Enabled() ? MonotonicNowNs() : 0;
+      std::string werr;
+      const bool ok = run(shard, &werr);
+      if (trace::Enabled()) {
+        trace::GetHistogram("relink.worker_us")->Record((MonotonicNowNs() - t0) / 1000);
+      }
+      return std::make_pair(ok, werr);
+    }));
+  }
+  bool failed = false;
+  for (auto& f : futures) {
+    auto [ok, werr] = f.get();
+    if (!ok && !failed) {
+      failed = true;
+      SetErr(err, werr);
+    }
+  }
+  return !failed;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -148,8 +194,6 @@ bool AnalysisSession::ImportStoreRecord(StoreModule&& rec, std::string* err) {
   st->analyzed_now = false;
   st->compile_errors = rec.compile_errors;
   st->import_sig = rec.import_sig;
-  st->memo_key.clear();
-  st->memo.clear();
   st->link_seeds.clear();
   if (!keep_names) {
     // A compile-failed worker record carries no names; the coordinator
@@ -230,6 +274,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
   for (auto& [name, st] : modules_) {
     (void)name;
     st->memo.clear();
+    st->memo_key.clear();
   }
   LoadLinkRows(std::move(sf.summaries));
   linked_ever_ = sf.linked;
@@ -262,222 +307,92 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
 // ---------------------------------------------------------------------------
 
 SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions& opts) {
-  PrepareLinkedRun();
-  const int max_rounds = static_cast<int>(modules_.size()) * 4 + 8;
-  const std::string round_path = opts.store_path + ".round";
-  SessionResult result;
-  std::string err;
-  bool failed = false;
-
-  for (;;) {
-    if (cancel_requested()) {
-      link_stats_.cancelled = true;
-      result.cancelled = true;
-      break;
+  SessionResult result = LinkFixpoint([this, &opts](RoundExports* exports, std::string* err) {
+    if (DistributedStep(opts, exports, err)) {
+      return true;
     }
-    ++link_stats_.rounds;
-
-    std::vector<std::string> dirty_names;
-    for (auto& [name, st] : modules_) {
-      st->analyzed_now = false;
-      if (st->dirty) {
-        dirty_names.push_back(name);
-      }
-    }
-    // Fleet observability: one span per coordinator round, one
-    // "relink.worker_us" histogram sample per worker (spawn→join for
-    // subprocess workers, call duration for in-process ones) — the skew
-    // between the fastest and slowest worker is the fleet's idle cost.
-    trace::Span round_span("relink.round",
-                           {"round", static_cast<int64_t>(link_stats_.rounds)},
-                           {"dirty", static_cast<int64_t>(dirty_names.size())});
-
-    if (!dirty_names.empty()) {
-      // Publish the round base. Workers read the immutable `.round`
-      // snapshot — never the live store — so every worker in a round
-      // imports the same pre-round table regardless of sibling merge
-      // order; the live store is the merge target they fold deltas into.
-      const StoreFile base = BuildStoreSnapshot(/*linked=*/true, /*converged=*/false);
-      if (!WriteStoreFile(opts.store_path, base, &err) ||
-          !WriteStoreFile(round_path, base, &err)) {
-        failed = true;
-        break;
-      }
-
-      // Deterministic assignment: round-robin over the sorted dirty list.
-      // Byte-identity across worker counts is a tested property, so the
-      // assignment is a performance choice, not a correctness one.
-      const int nworkers =
-          std::min<int>(std::max(1, opts.workers), static_cast<int>(dirty_names.size()));
-      std::vector<std::vector<std::string>> shards(static_cast<size_t>(nworkers));
-      for (size_t i = 0; i < dirty_names.size(); ++i) {
-        shards[i % static_cast<size_t>(nworkers)].push_back(dirty_names[i]);
-      }
-
-      if (opts.run_worker) {
-        std::vector<std::future<std::pair<bool, std::string>>> futures;
-        futures.reserve(shards.size());
-        for (const std::vector<std::string>& shard : shards) {
-          futures.push_back(std::async(std::launch::async, [&opts, shard] {
-            trace::Span wspan("relink.worker",
-                             {"modules", static_cast<int64_t>(shard.size())});
-            const uint64_t t0 = trace::Enabled() ? MonotonicNowNs() : 0;
-            std::string werr;
-            bool ok = opts.run_worker(shard, &werr);
-            if (trace::Enabled()) {
-              trace::GetHistogram("relink.worker_us")
-                  ->Record((MonotonicNowNs() - t0) / 1000);
-            }
-            return std::make_pair(ok, werr);
-          }));
-        }
-        for (auto& f : futures) {
-          auto [ok, werr] = f.get();
-          if (!ok && !failed) {
-            failed = true;
-            err = werr;
-          }
-        }
-      } else {
-        std::vector<Subprocess> procs(shards.size());
-        // Subprocess workers trace in their own address space; their rings
-        // are invisible here. The coordinator emits one relink.worker span
-        // per child covering its observed lifetime (spawn -> join), heap-
-        // held so the RAII scope can straddle the two loops.
-        std::vector<std::unique_ptr<trace::Span>> wspans(shards.size());
-        const uint64_t spawn_t0 = trace::Enabled() ? MonotonicNowNs() : 0;
-        for (size_t s = 0; s < shards.size(); ++s) {
-          std::string mods;
-          for (const std::string& m : shards[s]) {
-            if (!mods.empty()) {
-              mods += ',';
-            }
-            mods += m;
-          }
-          std::vector<std::string> argv = {opts.worker_argv0, "--worker",
-                                           "--store", opts.store_path,
-                                           "--modules", mods};
-          wspans[s] = std::make_unique<trace::Span>(
-              "relink.worker",
-              trace::SpanArg{"modules", static_cast<int64_t>(shards[s].size())});
-          if (!SpawnProcess(argv, &procs[s], &err)) {
-            failed = true;
-            break;
-          }
-        }
-        // Join every spawned worker even after a failure — no zombies, and
-        // the store is quiescent before we decide anything.
-        for (size_t s = 0; s < procs.size(); ++s) {
-          Subprocess& p = procs[s];
-          if (p.pid < 0) {
-            wspans[s].reset();
-            continue;
-          }
-          std::string werr;
-          bool ok = WaitProcess(&p, &werr);
-          wspans[s].reset();
-          if (trace::Enabled()) {
-            trace::GetHistogram("relink.worker_us")
-                ->Record((MonotonicNowNs() - spawn_t0) / 1000);
-          }
-          if (!ok && !failed) {
-            failed = true;
-            err = werr;
-          }
-        }
-      }
-      if (failed) {
-        break;
-      }
-
-      StoreFile merged;
-      if (!ReadStoreFile(opts.store_path, &merged, &err)) {
-        failed = true;
-        break;
-      }
-      LinkDelta delta;
-      for (const std::string& name : dirty_names) {
-        auto rec = merged.modules.find(name);
-        if (rec == merged.modules.end() || !rec->second.analyzed) {
-          err = "worker produced no result for module '" + name + "'";
-          failed = true;
-          break;
-        }
-        if (!ImportStoreRecord(std::move(rec->second), &err)) {
-          failed = true;
-          break;
-        }
-        modules_[name]->analyzed_now = true;
-        RetractLinkRows(name, &delta);
-        for (auto it = merged.summaries.lower_bound({name, std::string()});
-             it != merged.summaries.end() && it->first.first == name; ++it) {
-          const int64_t stack_below = it->second.stack_below;
-          const bool cross_recursive = it->second.cross_recursive;
-          PutLinkRow(std::make_shared<const LinkRow>(std::move(it->second)), stack_below,
-                     cross_recursive, &delta);
-        }
-      }
-      if (failed) {
-        break;
-      }
-      link_stats_.module_analyses += static_cast<int>(dirty_names.size());
-      ComputeLinkStackFacts(&delta);
-      std::set<std::string> dirty = DirtyModules(delta);
-      result = MergeResult(false);
-      if (dirty.empty()) {
-        link_stats_.converged = true;
-        break;
-      }
-      for (const std::string& m : dirty) {
-        Invalidate(m);
-      }
-      if (link_stats_.rounds >= max_rounds) {
-        break;
-      }
-      continue;
-    }
-
-    // Idle round (warm start, or nothing changed): mirror the in-process
-    // round shape — recompute stack facts, diff, converge on no change.
-    LinkDelta delta;
-    ComputeLinkStackFacts(&delta);
-    std::set<std::string> dirty = DirtyModules(delta);
-    result = MergeResult(false);
-    if (dirty.empty()) {
-      link_stats_.converged = true;
-      break;
-    }
-    for (const std::string& m : dirty) {
-      Invalidate(m);
-    }
-    if (link_stats_.rounds >= max_rounds) {
-      break;
-    }
-  }
-
-  if (failed) {
-    result = MergeResult(false);
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "distributed relink failed: " + err;
-    result.findings.push_back(std::move(f));
-  }
-  FinishLinkedRun(max_rounds, &result);
+    *err = "distributed relink failed: " + *err;
+    return false;
+  });
 
   // Persist the outcome (converged or resumable-unconverged) and drop the
   // round snapshot. A failure to write is reported but does not poison the
   // in-memory result.
   std::string werr;
   if (!result.cancelled && !SaveStore(opts.store_path, &werr)) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "distributed relink: cannot write store: " + werr;
-    result.findings.push_back(std::move(f));
+    result.findings.push_back(SessionError("distributed relink: cannot write store: " + werr));
   }
-  std::remove(round_path.c_str());
+  std::remove((opts.store_path + ".round").c_str());
   return result;
+}
+
+bool AnalysisSession::DistributedStep(const DistributedLinkOptions& opts, RoundExports* exports,
+                                      std::string* err) {
+  std::vector<std::string> dirty_names;
+  for (auto& [name, st] : modules_) {
+    st->analyzed_now = false;
+    if (st->dirty) {
+      dirty_names.push_back(name);
+    }
+  }
+  // Fleet observability: one span per step (snapshot, fan-out, merge read)
+  // inside the round's session.link_round span.
+  trace::Span round_span("relink.round",
+                         {"round", static_cast<int64_t>(link_stats_.rounds)},
+                         {"dirty", static_cast<int64_t>(dirty_names.size())});
+  if (dirty_names.empty()) {
+    return true;
+  }
+
+  // Publish the round base, encoded once. Workers read the immutable
+  // `.round` snapshot — never the live store — so every worker in a round
+  // imports the same pre-round table regardless of sibling merge order;
+  // the live store is the merge target they fold deltas into.
+  const std::string base =
+      EncodeStore(BuildStoreSnapshot(/*linked=*/true, /*converged=*/false));
+  if (!WriteStoreBytes(opts.store_path, base, err) ||
+      !WriteStoreBytes(opts.store_path + ".round", base, err)) {
+    return false;
+  }
+
+  // Deterministic assignment: round-robin over the sorted dirty list.
+  // Byte-identity across worker counts is a tested property, so the
+  // assignment is a performance choice, not a correctness one.
+  const int nworkers =
+      std::min<int>(std::max(1, opts.workers), static_cast<int>(dirty_names.size()));
+  std::vector<std::vector<std::string>> shards(static_cast<size_t>(nworkers));
+  for (size_t i = 0; i < dirty_names.size(); ++i) {
+    shards[i % static_cast<size_t>(nworkers)].push_back(dirty_names[i]);
+  }
+  if (!RunWorkers(opts, shards, err)) {
+    return false;
+  }
+
+  StoreFile merged;
+  if (!ReadStoreFile(opts.store_path, &merged, err)) {
+    return false;
+  }
+  for (const std::string& name : dirty_names) {
+    auto rec = merged.modules.find(name);
+    if (rec == merged.modules.end() || !rec->second.analyzed) {
+      SetErr(err, "worker produced no result for module '" + name + "'");
+      return false;
+    }
+    if (!ImportStoreRecord(std::move(rec->second), err)) {
+      return false;
+    }
+    ModuleState& st = *modules_.at(name);
+    st.analyzed_now = true;
+    // The worker analyzed against the round base, which is still the table:
+    // the fixpoint publishes only after the step returns.
+    ImportSignatures(name, st.defined_names, st.extern_refs, nullptr, &st.memo_key);
+    std::vector<FuncSummary>& rows = (*exports)[name];
+    for (auto it = merged.summaries.lower_bound({name, std::string()});
+         it != merged.summaries.end() && it->first.first == name; ++it) {
+      rows.push_back(std::move(it->second));
+    }
+  }
+  return true;
 }
 
 bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store_path,

@@ -10,8 +10,9 @@
 //   3. Crash recovery: an unconverged store loads with every module dirty
 //      and re-derives the identical fixpoint.
 //   4. Distributed relink (in-process run_worker hook): byte-identical to
-//      single-process RunLinked across worker counts; a failed worker
-//      leaves the run resumable.
+//      single-process RunLinked across worker counts, with the same link
+//      stats through relinks after edits; a failed worker leaves the run
+//      resumable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -437,6 +438,50 @@ TEST(StoreDistributed, MatchesSingleProcessAcrossWorkerCounts) {
     EXPECT_EQ(warm.link_stats().module_analyses, 0);
     EXPECT_EQ(Dump(rewarm.findings), Dump(golden.findings));
   }
+}
+
+TEST(StoreDistributed, RelinkAfterEditMatchesSingleProcess) {
+  // Both drivers run one fixpoint loop, so the distributed relinks replay
+  // from the same link memo and rebuild the same stale findings as the
+  // in-process ones: findings and stats agree after every edit.
+  LinkedCorpusOptions opt;
+  opt.modules = 4;
+  opt.functions = 24;
+  opt.seed = 13;
+  const std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
+  StorePath path("dist_relink");
+  const DistributedLinkOptions opts = InProcessOptions(path.get(), 3);
+  AnalysisSession single = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  AnalysisSession dist = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  auto relink_both = [&](const std::string& step) {
+    SessionResult want = single.RunLinked();
+    SessionResult got = dist.RunLinkedDistributed(opts);
+    const LinkStats& s = single.link_stats();
+    const LinkStats& d = dist.link_stats();
+    EXPECT_TRUE(s.converged) << step;
+    EXPECT_TRUE(d.converged) << step;
+    EXPECT_EQ(Dump(got.findings), Dump(want.findings)) << step;
+    EXPECT_EQ(d.rounds, s.rounds) << step;
+    EXPECT_EQ(d.module_analyses, s.module_analyses) << step;
+    EXPECT_EQ(d.memo_hits, s.memo_hits) << step;
+    EXPECT_EQ(d.findings_rebuilds, s.findings_rebuilds) << step;
+  };
+  relink_both("cold");
+
+  // A -> B: a mid-chain function of mod_01 becomes a blocking leaf.
+  ASSERT_EQ(corpus[1].name, "mod_01");
+  const std::string fn = SynthFuncName(LinkedModulePrefix(1), 7);
+  const std::string b_def = "void " + fn + "(int n) {\n  int pad[8]; pad[0] = n;\n  msleep(n);\n}\n";
+  ASSERT_TRUE(single.ReplaceFunction("mod_01", fn, b_def));
+  ASSERT_TRUE(dist.ReplaceFunction("mod_01", fn, b_def));
+  relink_both("A -> B");
+  EXPECT_GT(single.link_stats().memo_hits, 0);
+
+  // B -> A: the original sources.
+  ASSERT_TRUE(single.ReplaceModuleSources("mod_01", corpus[1].files));
+  ASSERT_TRUE(dist.ReplaceModuleSources("mod_01", corpus[1].files));
+  relink_both("B -> A");
+  EXPECT_GT(single.link_stats().memo_hits, 0);
 }
 
 TEST(StoreDistributed, WorkerFailureLeavesRunResumable) {
